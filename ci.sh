@@ -45,7 +45,10 @@
 #                          and hold the committed BENCH_serve.json to the
 #                          pressio-serve/bench-v1 invariants (ramp past 2x
 #                          capacity, zero errors, clean drain, no leaked
-#                          watchdog workers)
+#                          watchdog workers); and the copy budget — body-sized
+#                          allocations per 1 MiB request, all threads, counted
+#                          by the test binary's own allocator
+#                          (crates/tools/tests/serve_copy_budget.rs)
 #   6. pressio trace --check — tracing smoke: a traced sz round trip must
 #                          produce a non-empty, well-nested span tree with
 #                          both handle-level spans
@@ -70,6 +73,11 @@
 #                          host, and skips itself (loudly) when the
 #                          committed baseline was recorded with a
 #                          different host_threads count.
+#   9. benchmark/smoke.sh — the stand-alone benchmark package (its own
+#                          manifest and lock, outside the workspace) still
+#                          formats, lints, tests and runs every workload for
+#                          a second against this tree: it compiles against
+#                          public signatures nothing else here builds.
 #
 # Usage: ./ci.sh                 full gate (all of the above)
 #        ./ci.sh --quick        lint + workspace tests only (inner loop)
@@ -135,6 +143,8 @@ fi
 run_serve() {
     echo "== serve smoke (profile round trips, overload shedding, malformed frames, drain)"
     cargo test -q -p pressio-tools --test serve_smoke
+    echo "== serve copy budget (body-sized allocations per request, all threads)"
+    cargo test -q -p pressio-tools --test serve_copy_budget
     echo "== serve daemon graceful drain on SIGTERM (exit code must be 0)"
     cargo build -q --release -p pressio-tools
     ./target/release/pressio serve --tcp 127.0.0.1:0 &
@@ -181,5 +191,8 @@ cargo run -q --release -p pressio-tools --bin pressio -- bench --check --out tar
 
 echo "== bench speedup gate (committed baseline vs fresh measurement)"
 cargo run -q --release -p pressio-tools --bin pressio -- bench --gate --out BENCH_overhead.json
+
+echo "== benchmark package smoke (fmt, clippy, tests, one second of every workload)"
+benchmark/smoke.sh
 
 echo "== ci.sh: all gates passed"

@@ -49,18 +49,28 @@ impl AlignedVec {
 
     /// Allocate `len` zero-initialized bytes.
     pub fn zeroed(len: usize) -> Self {
+        Self::try_zeroed(len).unwrap_or_else(|| std::alloc::handle_alloc_error(Self::layout(len)))
+    }
+
+    /// Allocate `len` zero-initialized bytes, or `None` when the allocator
+    /// refuses — the form for sizes a stream or a peer declared, where
+    /// [`zeroed`](AlignedVec::zeroed)'s abort would take the host down.
+    pub fn try_zeroed(len: usize) -> Option<Self> {
         if len == 0 {
-            return AlignedVec {
+            return Some(AlignedVec {
                 ptr: Self::dangling(),
                 len: 0,
                 cap: 0,
-            };
+            });
         }
-        let layout = Self::layout(len);
+        let layout = Layout::from_size_align(len, BUFFER_ALIGN).ok()?;
         // SAFETY: layout has non-zero size.
         let raw = unsafe { alloc_zeroed(layout) };
-        let ptr = NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
-        AlignedVec { ptr, len, cap: len }
+        Some(AlignedVec {
+            ptr: NonNull::new(raw)?,
+            len,
+            cap: len,
+        })
     }
 
     /// Allocate `len` uninitialized bytes and immediately fill them from `f`.
@@ -81,10 +91,21 @@ impl AlignedVec {
 
     /// Allocate a copy of `src`.
     pub fn from_slice(src: &[u8]) -> Self {
-        Self::with_init(src.len(), |dst| {
-            // SAFETY: dst is freshly allocated with src.len() bytes; regions
-            // cannot overlap.
-            unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len()) }
+        Self::concat(&[src])
+    }
+
+    /// Allocate the concatenation of `parts`, each byte written once.
+    pub fn concat(parts: &[&[u8]]) -> Self {
+        let len = parts.iter().map(|p| p.len()).sum();
+        Self::with_init(len, |dst| {
+            let mut at = 0;
+            for part in parts {
+                // SAFETY: dst is freshly allocated with `len` bytes, the
+                // parts' lengths sum to `len` so `at + part.len() <= len`,
+                // and a fresh allocation cannot overlap a live slice.
+                unsafe { std::ptr::copy_nonoverlapping(part.as_ptr(), dst.add(at), part.len()) }
+                at += part.len();
+            }
         })
     }
 
@@ -209,6 +230,24 @@ mod tests {
         let v = AlignedVec::from_slice(&src);
         assert_eq!(v.as_slice(), &src[..]);
         assert_eq!(v.as_ptr() as usize % BUFFER_ALIGN, 0);
+    }
+
+    #[test]
+    fn concat_joins_parts_in_order() {
+        let v = AlignedVec::concat(&[b"ab", b"", b"cde", &[0u8; 8]]);
+        assert_eq!(v.as_slice(), b"abcde\0\0\0\0\0\0\0\0");
+        assert_eq!(v.as_ptr() as usize % BUFFER_ALIGN, 0);
+        assert!(AlignedVec::concat(&[]).is_empty());
+    }
+
+    #[test]
+    fn try_zeroed_refuses_instead_of_aborting() {
+        assert_eq!(AlignedVec::try_zeroed(100).map(|v| v.len()), Some(100));
+        assert!(AlignedVec::try_zeroed(0).is_some_and(|v| v.is_empty()));
+        // Past isize::MAX no layout exists; just under it the layout is
+        // valid and the allocator says no. Neither may abort.
+        assert!(AlignedVec::try_zeroed(usize::MAX).is_none());
+        assert!(AlignedVec::try_zeroed(isize::MAX as usize - 63).is_none());
     }
 
     #[test]

@@ -10,42 +10,25 @@
 //! user — exactly the uniform-ordering policy the paper argues for.
 //!
 //! The C library's deleter-function design (owning, non-owning, and shallow
-//! copies) maps onto Rust as: owned aligned buffers ([`Data::owned`] et al.)
-//! and reference-counted shallow copies ([`Data::shallow_clone`]) with
-//! copy-on-write upon mutation.
+//! copies) maps onto Rust as one representation: every [`Data`] holds its
+//! payload in a reference-counted, 64-byte-aligned buffer. [`Clone`] is O(1)
+//! and shares the payload; the first mutable access through a handle that is
+//! still sharing ([`Data::as_bytes_mut`], [`Data::as_mut_slice`]) copies it
+//! first, so value semantics hold — writing through one handle never shows
+//! through another — while a buffer nobody else holds is written in place.
+//! That is what lets a wrapper stage its input for a worker thread, or a
+//! daemon hand a request payload from its reader to its worker, without
+//! copying a byte.
+//!
+//! Sizes that come from outside the program (a stream header, a peer's
+//! request) go through [`Data::alloc_output`]: geometry check, memory-budget
+//! charge, and an allocation that fails with an error instead of aborting.
 
 use std::sync::Arc;
 
 use crate::alloc::AlignedVec;
 use crate::dtype::{DType, Element};
-use crate::error::{Error, Result};
-
-#[derive(Debug, Clone)]
-enum Storage {
-    Owned(AlignedVec),
-    Shared(Arc<AlignedVec>),
-}
-
-impl Storage {
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Storage::Owned(v) => v.as_slice(),
-            Storage::Shared(v) => v.as_slice(),
-        }
-    }
-
-    #[inline]
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        match self {
-            Storage::Owned(v) => v.as_mut_slice(),
-            // Copy-on-write: writing through a shallow copy must not disturb
-            // other holders (a shallow copy with a no-op deleter in the C
-            // library is read-only by convention; we make it safe instead).
-            Storage::Shared(v) => Arc::make_mut(v).as_mut_slice(),
-        }
-    }
-}
+use crate::error::{Error, ErrorCode, Result};
 
 /// A dynamically typed n-dimensional data buffer.
 ///
@@ -55,7 +38,7 @@ impl Storage {
 pub struct Data {
     dtype: DType,
     dims: Vec<usize>,
-    storage: Storage,
+    storage: Arc<AlignedVec>,
 }
 
 impl Data {
@@ -67,9 +50,38 @@ impl Data {
         let n: usize = dims.iter().product::<usize>();
         Data {
             dtype,
-            storage: Storage::Owned(AlignedVec::zeroed(n * dtype.size())),
+            storage: Arc::new(AlignedVec::zeroed(n * dtype.size())),
             dims,
         }
+    }
+
+    /// A zero-filled buffer for a geometry that came from outside the
+    /// program — a stream header, a peer's request. The one allocation path
+    /// for such sizes: the geometry must pass
+    /// [`checked_geometry`](crate::checked_geometry), the bytes are charged
+    /// to the ambient [`CancelToken`](crate::CancelToken)'s memory budget,
+    /// and an allocation the host refuses is an error, never an abort.
+    ///
+    /// # Errors
+    ///
+    /// [`CorruptStream`](ErrorCode::CorruptStream) for an implausible
+    /// geometry; [`Cancelled`](ErrorCode::Cancelled) when the budget or the
+    /// allocator says no.
+    pub fn alloc_output(dtype: DType, dims: impl Into<Vec<usize>>) -> Result<Data> {
+        let dims = dims.into();
+        let bytes = crate::wire::checked_geometry(dtype, &dims)?;
+        crate::cancel::charge(bytes as u64)?;
+        let storage = AlignedVec::try_zeroed(bytes).ok_or_else(|| {
+            Error::new(
+                ErrorCode::Cancelled,
+                format!("the host refused the {bytes}-byte allocation for {dims:?} x {dtype}"),
+            )
+        })?;
+        Ok(Data {
+            dtype,
+            dims,
+            storage: Arc::new(storage),
+        })
     }
 
     /// An empty 0-element buffer of the given type (used as an output
@@ -100,7 +112,7 @@ impl Data {
         Ok(Data {
             dtype: T::DTYPE,
             dims,
-            storage: Storage::Owned(AlignedVec::from_slice(bytes)),
+            storage: Arc::new(AlignedVec::from_slice(bytes)),
         })
     }
 
@@ -112,11 +124,14 @@ impl Data {
 
     /// Wrap raw bytes as a 1-d `Byte` buffer (compressed streams).
     pub fn from_bytes(bytes: &[u8]) -> Data {
-        Data {
-            dtype: DType::Byte,
-            dims: vec![bytes.len()],
-            storage: Storage::Owned(AlignedVec::from_slice(bytes)),
-        }
+        Data::from_byte_parts(&[bytes])
+    }
+
+    /// The concatenation of `parts` as a 1-d `Byte` buffer, assembled in one
+    /// pass: a stream built from a header, a payload and a trailer lands
+    /// once, in the aligned buffer the next stage reads.
+    pub fn from_byte_parts(parts: &[&[u8]]) -> Data {
+        Data::from_aligned_bytes(AlignedVec::concat(parts))
     }
 
     /// Wrap an already-aligned buffer as a 1-d `Byte` buffer without copying.
@@ -124,7 +139,7 @@ impl Data {
         Data {
             dtype: DType::Byte,
             dims: vec![bytes.len()],
-            storage: Storage::Owned(bytes),
+            storage: Arc::new(bytes),
         }
     }
 
@@ -157,7 +172,7 @@ impl Data {
     /// Total payload size in bytes.
     #[inline]
     pub fn size_in_bytes(&self) -> usize {
-        self.storage.bytes().len()
+        self.storage.len()
     }
 
     /// Reinterpret the buffer with new dimensions (same dtype, same element
@@ -181,13 +196,15 @@ impl Data {
     /// The raw bytes of the buffer.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        self.storage.bytes()
+        self.storage.as_slice()
     }
 
-    /// Mutable raw bytes (copy-on-write if this is a shallow copy).
+    /// Mutable raw bytes. Copies the payload first when another [`Data`]
+    /// still shares it (see [`is_shared`](Self::is_shared)); writes in place
+    /// otherwise.
     #[inline]
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        self.storage.bytes_mut()
+        Arc::make_mut(&mut self.storage).as_mut_slice()
     }
 
     /// View the buffer as a typed slice.
@@ -198,7 +215,7 @@ impl Data {
     /// not match the buffer's dtype (`u8` additionally matches `Byte`).
     pub fn as_slice<T: Element>(&self) -> Result<&[T]> {
         self.check_view::<T>()?;
-        let bytes = self.storage.bytes();
+        let bytes = self.as_bytes();
         // SAFETY: dtype matches T, byte length is a multiple of size_of::<T>()
         // by construction, and AlignedVec guarantees 64-byte alignment.
         Ok(unsafe {
@@ -212,7 +229,7 @@ impl Data {
     /// View the buffer as a mutable typed slice (copy-on-write if shared).
     pub fn as_mut_slice<T: Element>(&mut self) -> Result<&mut [T]> {
         self.check_view::<T>()?;
-        let bytes = self.storage.bytes_mut();
+        let bytes = self.as_bytes_mut();
         // SAFETY: as in `as_slice`, plus exclusive access through &mut self.
         Ok(unsafe {
             std::slice::from_raw_parts_mut(
@@ -233,7 +250,7 @@ impl Data {
                 T::DTYPE
             )));
         }
-        debug_assert_eq!(self.storage.bytes().len() % std::mem::size_of::<T>(), 0);
+        debug_assert_eq!(self.storage.len() % std::mem::size_of::<T>(), 0);
         Ok(())
     }
 
@@ -244,34 +261,10 @@ impl Data {
 
     // ------------------------------------------------------------- sharing
 
-    /// A shallow (reference-counted) copy: O(1), shares the payload.
-    ///
-    /// The analog of `pressio_data_new_nonowning` with a no-op deleter.
-    /// Mutating either copy afterwards triggers copy-on-write.
-    pub fn shallow_clone(&mut self) -> Data {
-        let arc = match &mut self.storage {
-            Storage::Shared(a) => a.clone(),
-            Storage::Owned(v) => {
-                // Promote to shared in place without copying the payload.
-                let owned = std::mem::replace(v, AlignedVec::zeroed(0));
-                let arc = Arc::new(owned);
-                self.storage = Storage::Shared(arc.clone());
-                arc
-            }
-        };
-        Data {
-            dtype: self.dtype,
-            dims: self.dims.clone(),
-            storage: Storage::Shared(arc),
-        }
-    }
-
-    /// True when this buffer shares its payload with another [`Data`].
+    /// True when this buffer shares its payload with another [`Data`] (a
+    /// clone that neither side has written to since).
     pub fn is_shared(&self) -> bool {
-        match &self.storage {
-            Storage::Shared(a) => Arc::strong_count(a) > 1,
-            Storage::Owned(_) => false,
-        }
+        Arc::strong_count(&self.storage) > 1
     }
 
     // ---------------------------------------------------------- conversion
@@ -360,16 +353,50 @@ mod tests {
     }
 
     #[test]
-    fn shallow_clone_shares_then_cow() {
+    fn clone_shares_then_copies_on_write() {
         let mut a = Data::from_slice(&[1.0f64, 2.0, 3.0], vec![3]).unwrap();
-        let mut b = a.shallow_clone();
-        assert!(a.is_shared());
-        assert!(b.is_shared());
-        assert_eq!(b.as_slice::<f64>().unwrap(), &[1.0, 2.0, 3.0]);
+        assert!(!a.is_shared());
+        let unshared = a.as_bytes().as_ptr();
+        a.as_mut_slice::<f64>().unwrap()[2] = 4.0;
+        assert_eq!(a.as_bytes().as_ptr(), unshared, "sole holder writes in place");
+        let mut b = a.clone();
+        assert!(a.is_shared() && b.is_shared());
+        assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr());
         // Mutate the copy: original must be untouched (copy-on-write).
         b.as_mut_slice::<f64>().unwrap()[0] = 99.0;
-        assert_eq!(a.as_slice::<f64>().unwrap()[0], 1.0);
-        assert_eq!(b.as_slice::<f64>().unwrap()[0], 99.0);
+        assert_eq!(a.as_slice::<f64>().unwrap(), &[1.0, 2.0, 4.0]);
+        assert_eq!(b.as_slice::<f64>().unwrap(), &[99.0, 2.0, 4.0]);
+        assert!(!a.is_shared() && !b.is_shared());
+    }
+
+    #[test]
+    fn byte_parts_land_in_order() {
+        let d = Data::from_byte_parts(&[b"head", b"", b"payload", &[0u8; 2]]);
+        assert_eq!(d.dtype(), DType::Byte);
+        assert_eq!(d.dims(), &[13]);
+        assert_eq!(d.as_bytes(), b"headpayload\0\0");
+    }
+
+    #[test]
+    fn alloc_output_checks_charges_and_never_aborts() {
+        let d = Data::alloc_output(DType::F32, vec![4, 4]).unwrap();
+        assert_eq!((d.dims(), d.size_in_bytes()), (&[4usize, 4][..], 64));
+        // Past the decode cap: the geometry check refuses before any charge.
+        let e = Data::alloc_output(DType::F64, vec![1usize << 40]).unwrap_err();
+        assert_eq!(e.code(), ErrorCode::CorruptStream);
+        // Inside the cap but past the ambient budget: charged, refused.
+        let token = crate::CancelToken::new();
+        token.set_memory_budget(1 << 20);
+        let e = crate::cancel::with_token(&token, || Data::alloc_output(DType::U8, vec![2 << 20]))
+            .unwrap_err();
+        assert_eq!(e.code(), ErrorCode::Cancelled);
+        // Inside the cap with no budget, half a terabyte: a host that
+        // refuses yields an error, not `handle_alloc_error` (one that
+        // overcommits hands out untouched zero pages).
+        match Data::alloc_output(DType::F32, vec![1usize << 37]) {
+            Err(e) => assert_eq!(e.code(), ErrorCode::Cancelled),
+            Ok(d) => assert_eq!(d.size_in_bytes(), 1 << 39),
+        }
     }
 
     #[test]

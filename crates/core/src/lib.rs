@@ -77,7 +77,7 @@ pub use loom;
 
 pub use alloc::{AlignedVec, BUFFER_ALIGN};
 pub use cancel::CancelToken;
-pub use checksum::{fnv1a64, Fnv1a64};
+pub use checksum::{fnv1a64, xxh64, Fnv1a64};
 pub use common::{
     value_min_max, value_range, ErrorBound, OPT_ABS, OPT_LOSSLESS, OPT_NTHREADS, OPT_PREC,
     OPT_RATE, OPT_REL,

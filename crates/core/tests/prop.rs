@@ -83,21 +83,21 @@ proptest! {
     }
 
     #[test]
-    fn data_shallow_clone_cow_isolation(
+    fn data_clone_cow_isolation(
         vals in proptest::collection::vec(any::<f32>(), 1..512),
         idx in any::<u16>(),
         new_val in any::<f32>(),
     ) {
         let n = vals.len();
         let mut a = Data::from_vec(vals.clone(), vec![n]).unwrap();
-        let mut b = a.shallow_clone();
+        let mut b = a.clone();
         let at = idx as usize % n;
         b.as_mut_slice::<f32>().unwrap()[at] = new_val;
         // Original untouched by copy-on-write.
         prop_assert_eq!(a.as_slice::<f32>().unwrap()[at].to_bits(), vals[at].to_bits());
         prop_assert_eq!(b.as_slice::<f32>().unwrap()[at].to_bits(), new_val.to_bits());
         // And the other direction too.
-        let c = a.shallow_clone();
+        let c = a.clone();
         a.as_mut_slice::<f32>().unwrap()[at] = new_val;
         prop_assert_eq!(c.as_slice::<f32>().unwrap()[at].to_bits(), vals[at].to_bits());
     }

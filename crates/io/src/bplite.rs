@@ -129,21 +129,23 @@ impl BpReader {
             let name = r.get_str()?.to_string();
             let dtype = r.get_dtype()?;
             let dims = r.get_dims()?;
-            pressio_core::checked_geometry(dtype, &dims)?;
+            let geometry_bytes = pressio_core::checked_geometry(dtype, &dims)?;
             let compressed = r.get_u8()? != 0;
             let data = if compressed {
                 let comp = r.get_str()?.to_string();
                 let payload = r.get_section()?;
                 let mut c = registry().compressor(&comp)?;
-                let mut out = Data::owned(dtype, dims);
+                // The geometry is the file's claim, not yet backed by a
+                // payload of that size: a refused allocation is an error.
+                let mut out = Data::alloc_output(dtype, dims)?;
                 c.decompress(&Data::from_bytes(payload), &mut out)?;
                 out
             } else {
                 let payload = r.get_section()?;
-                let mut out = Data::owned(dtype, dims);
-                if out.size_in_bytes() != payload.len() {
+                if geometry_bytes != payload.len() {
                     return Err(Error::corrupt("bplite record size mismatch"));
                 }
+                let mut out = Data::owned(dtype, dims);
                 out.as_bytes_mut().copy_from_slice(payload);
                 out
             };

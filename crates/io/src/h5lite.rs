@@ -114,7 +114,9 @@ impl H5File {
             }
             Some(filter) => {
                 let mut c = registry().compressor(filter)?;
-                let mut out = Data::owned(ds.dtype, ds.dims.clone());
+                // The geometry is the file's claim, not yet backed by a
+                // payload of that size: a refused allocation is an error.
+                let mut out = Data::alloc_output(ds.dtype, ds.dims.clone())?;
                 c.decompress(&Data::from_bytes(&ds.payload), &mut out)?;
                 Ok(out)
             }

@@ -6,11 +6,18 @@
 //!
 //! 1. **Integrity framing** — the child's stream is wrapped in a versioned
 //!    frame carrying magic, the serving child's name, a dtype/dims echo, the
-//!    payload length, and an FNV-1a checksum
-//!    ([`pressio_core::checksum`]). Decompression validates the whole frame
+//!    payload length, and an 8-byte checksum trailer
+//!    ([`pressio_core::checksum`]). Frame **v2**, the one written, checksums
+//!    every byte before the trailer with one XXH64 call; frame **v1**
+//!    (FNV-1a over the fields) is still read, selected by nothing but the
+//!    version field in the stream. Decompression validates the whole frame
 //!    first, so truncated, bit-flipped, or mismatched streams are rejected
 //!    with [`CorruptStream`](pressio_core::ErrorCode::CorruptStream) before
-//!    the child's decoder ever parses hostile bytes.
+//!    the child's decoder ever parses hostile bytes. The checksum is an
+//!    integrity check, not authentication — anyone can compute it — so the
+//!    echoed geometry never sizes a buffer by itself: a sized `output` must
+//!    agree with it, and an empty one is filled through
+//!    [`Data::alloc_output`] (checked, charged, fallible).
 //! 2. **Deadline enforcement & cancellation** — with `guard:timeout_ms > 0`,
 //!    compress and decompress run on a deadline worker from the execution
 //!    engine's watchdog pool under a [`pressio_core::CancelToken`]; an
@@ -48,16 +55,22 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use pressio_core::checksum::Fnv1a64;
+use pressio_core::checksum::{xxh64, Fnv1a64};
 use pressio_core::{
-    ByteReader, ByteWriter, Compressor, Data, Error, ErrorCode, MetricsPlugin, Options, Result,
-    ThreadSafety, Version,
+    ByteReader, ByteWriter, Compressor, DType, Data, Error, ErrorCode, MetricsPlugin, Options,
+    Result, ThreadSafety, Version,
 };
 
 use crate::util::{default_child, resolve_child};
 
 const GUARD_MAGIC: u32 = 0x4752_4431; // "GRD1"
-const GUARD_VERSION: u16 = 1;
+/// The frame version written: XXH64 over every frame byte before the trailer.
+const GUARD_VERSION: u16 = 2;
+/// The first frame version, read for streams already written: FNV-1a over
+/// the header fields and the payload, field by field.
+const GUARD_VERSION_FNV: u16 = 1;
+/// Bytes of checksum closing every frame, in both versions.
+const TRAILER_LEN: usize = 8;
 
 /// Upper bound on a single backoff sleep; retry loops never sleep longer
 /// than this per attempt regardless of configuration.
@@ -138,7 +151,8 @@ struct GuardCounters {
 /// The guarded-execution meta-compressor.
 pub struct Guard {
     child_name: String,
-    child: Box<dyn Compressor>,
+    /// The live primary; `None` only while a call has it checked out.
+    child: Option<Box<dyn Compressor>>,
     fallbacks: Vec<String>,
     timeout_ms: u64,
     memory_budget_bytes: u64,
@@ -159,7 +173,7 @@ impl Guard {
     pub fn new() -> Guard {
         Guard {
             child_name: "noop".to_string(),
-            child: default_child(),
+            child: Some(default_child()),
             fallbacks: Vec::new(),
             timeout_ms: 0,
             memory_budget_bytes: 0,
@@ -195,11 +209,14 @@ impl Guard {
         Ok(c)
     }
 
-    /// Re-arm the primary child after its instance was lost to a detached
-    /// watchdog worker. Falls back to an inert `noop` when even the
+    /// The primary to put back after a call: the instance the call
+    /// returned, or — when it was lost to a detached watchdog worker — a
+    /// freshly armed one, falling back to an inert `noop` when even the
     /// registry lookup fails, so the guard stays usable.
-    fn rearm_primary(&mut self) {
-        self.child = self.arm(&self.child_name).unwrap_or_else(|_| default_child());
+    fn or_rearmed(&self, returned: Option<Box<dyn Compressor>>) -> Option<Box<dyn Compressor>> {
+        returned
+            .or_else(|| self.arm(&self.child_name).ok())
+            .or_else(|| Some(default_child()))
     }
 
     /// One child invocation under the cancellation policies. With a
@@ -245,15 +262,22 @@ impl Guard {
 
     /// Retry loop around one candidate's invocation: transient errors are
     /// retried with capped exponential backoff, terminal errors return
-    /// immediately. Returns the surviving child instance (if not lost to a
-    /// detached worker) and the final outcome.
-    fn with_retries<T: Send + 'static>(
+    /// immediately. `attempt_op` builds the closure for each attempt, so an
+    /// attempt can own what it works on (a staged input, the caller's
+    /// output buffer) instead of cloning it per try. Returns the surviving
+    /// child instance (if not lost to a detached worker) and the final
+    /// outcome.
+    fn with_retries<T, Op>(
         &self,
         name: &str,
         mut child: Box<dyn Compressor>,
         what: &'static str,
-        op: impl Fn(&mut Box<dyn Compressor>) -> Result<T> + Send + Clone + 'static,
-    ) -> (Option<Box<dyn Compressor>>, Result<T>) {
+        mut attempt_op: impl FnMut() -> Op,
+    ) -> (Option<Box<dyn Compressor>>, Result<T>)
+    where
+        T: Send + 'static,
+        Op: FnOnce(&mut Box<dyn Compressor>) -> Result<T> + Send + 'static,
+    {
         let mut attempt = 0u32;
         loop {
             {
@@ -263,7 +287,7 @@ impl Guard {
             let (returned, outcome) = {
                 let _span =
                     pressio_core::trace::span_labeled("guard:attempt", || format!("{name} {what}"));
-                self.timed(child, what, op.clone())
+                self.timed(child, what, attempt_op())
             };
             match outcome {
                 Ok(v) => return (returned, Ok(v)),
@@ -301,73 +325,19 @@ impl Guard {
         }
     }
 
-    /// Wrap a child payload in the integrity frame.
-    fn frame(&self, served_by: &str, input: &Data, payload: &[u8]) -> Data {
-        let mut w = ByteWriter::with_capacity(payload.len() + 64);
-        w.put_u32(GUARD_MAGIC);
-        w.put_u16(GUARD_VERSION);
-        w.put_str(served_by);
-        w.put_dtype(input.dtype());
-        w.put_dims(input.dims());
-        w.put_section(payload);
-        w.put_u64(frame_checksum(served_by, input.dtype().tag(), input.dims(), payload));
-        Data::from_bytes(&w.into_vec())
-    }
-
-    /// Parse and fully validate the integrity frame, returning the serving
-    /// child's name, the echoed geometry, and the payload. Every rejection
-    /// is a [`CorruptStream`](ErrorCode::CorruptStream) raised *before* any
-    /// child decoder runs.
-    fn unframe<'a>(
-        &self,
-        bytes: &'a [u8],
-    ) -> Result<(String, pressio_core::DType, Vec<usize>, &'a [u8])> {
-        let corrupt = |msg: String| Error::corrupt(msg).in_plugin("guard");
-        let mut r = ByteReader::new(bytes);
-        if r.get_u32()? != GUARD_MAGIC {
-            return Err(corrupt("bad guard frame magic".to_string()));
-        }
-        let version = r.get_u16()?;
-        if version != GUARD_VERSION {
-            return Err(corrupt(format!(
-                "unsupported guard frame version {version} (expected {GUARD_VERSION})"
-            )));
-        }
-        let served_by = r.get_str()?.to_string();
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        // The echo must describe a plausible buffer before anything is
-        // allocated for it.
-        pressio_core::checked_geometry(dtype, &dims)?;
-        let payload = r.get_section()?;
-        let declared = r.get_u64()?;
-        let computed = frame_checksum(&served_by, dtype.tag(), &dims, payload);
-        if declared != computed {
-            return Err(corrupt(format!(
-                "guard checksum mismatch: stream declares {declared:#018x}, payload hashes to \
-                 {computed:#018x}"
-            )));
-        }
-        if r.remaining() != 0 {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the guard frame",
-                r.remaining()
-            )));
-        }
-        Ok((served_by, dtype, dims, payload))
-    }
-
     /// Round-trip verification of a candidate's output stream.
-    fn verify_payload(&self, candidate: &str, input: &Data, payload: &[u8]) -> Result<()> {
+    fn verify_payload(&self, candidate: &str, input: &Data, stream: &Data) -> Result<()> {
         let _span = pressio_core::trace::span("guard:verify");
         pressio_core::trace::count("guard:verify", 1);
         let checker = self.arm(candidate)?;
-        let compressed = Data::from_bytes(payload);
         let dtype = input.dtype();
-        let dims = input.dims().to_vec();
-        let (_, outcome) = self.with_retries(candidate, checker, "verify", move |c| {
-            let mut out = Data::owned(dtype, dims.clone());
-            c.decompress(&compressed, &mut out)
+        let (_, outcome) = self.with_retries(candidate, checker, "verify", || {
+            let stream = stream.clone();
+            let dims = input.dims().to_vec();
+            move |c| {
+                let mut out = Data::owned(dtype, dims);
+                c.decompress(&stream, &mut out)
+            }
         });
         outcome.map_err(|e| {
             Error::corrupt(format!(
@@ -378,8 +348,90 @@ impl Guard {
     }
 }
 
-/// Checksum binding the frame header fields to the payload.
-fn frame_checksum(served_by: &str, dtype_tag: u8, dims: &[usize], payload: &[u8]) -> u64 {
+/// Record which child served, without reallocating an unchanged name.
+fn record_served_by(slot: &mut Option<String>, name: &str) {
+    if slot.as_deref() != Some(name) {
+        *slot = Some(name.to_string());
+    }
+}
+
+/// Wrap a child payload in the integrity frame: header, payload and trailer
+/// land once in the aligned buffer the caller gets, and one hash over what
+/// precedes the trailer fills it in.
+fn frame(served_by: &str, input: &Data, payload: &[u8]) -> Data {
+    let mut head = ByteWriter::with_capacity(64 + served_by.len() + 8 * input.num_dims());
+    head.put_u32(GUARD_MAGIC);
+    head.put_u16(GUARD_VERSION);
+    head.put_str(served_by);
+    head.put_dtype(input.dtype());
+    head.put_dims(input.dims());
+    head.put_u64(payload.len() as u64);
+    let mut frame = Data::from_byte_parts(&[head.as_slice(), payload, &[0u8; TRAILER_LEN]]);
+    let bytes = frame.as_bytes_mut();
+    let (covered, trailer) = bytes.split_at_mut(bytes.len() - TRAILER_LEN);
+    trailer.copy_from_slice(&xxh64(covered).to_le_bytes());
+    frame
+}
+
+/// A validated integrity frame, borrowed from the stream it was read from.
+struct Frame<'a> {
+    served_by: &'a str,
+    dtype: DType,
+    dims: Vec<usize>,
+    payload: &'a [u8],
+}
+
+/// Parse and fully validate the integrity frame. Every rejection is a
+/// [`CorruptStream`](ErrorCode::CorruptStream) raised *before* any child
+/// decoder runs.
+fn unframe(bytes: &[u8]) -> Result<Frame<'_>> {
+    let corrupt = |msg: String| Error::corrupt(msg).in_plugin("guard");
+    let mut r = ByteReader::new(bytes);
+    if r.get_u32()? != GUARD_MAGIC {
+        return Err(corrupt("bad guard frame magic".to_string()));
+    }
+    let version = r.get_u16()?;
+    if version != GUARD_VERSION && version != GUARD_VERSION_FNV {
+        return Err(corrupt(format!(
+            "unsupported guard frame version {version} (this build reads \
+             {GUARD_VERSION_FNV} and {GUARD_VERSION})"
+        )));
+    }
+    let served_by = r.get_str()?;
+    let dtype = r.get_dtype()?;
+    let dims = r.get_dims()?;
+    // The echo must describe a plausible buffer.
+    pressio_core::checked_geometry(dtype, &dims)?;
+    let payload = r.get_section()?;
+    let covered = r.position();
+    let declared = r.get_u64()?;
+    let computed = if version == GUARD_VERSION_FNV {
+        frame_checksum_v1(served_by, dtype.tag(), &dims, payload)
+    } else {
+        xxh64(&bytes[..covered])
+    };
+    if declared != computed {
+        return Err(corrupt(format!(
+            "guard checksum mismatch: stream declares {declared:#018x}, frame hashes to \
+             {computed:#018x}"
+        )));
+    }
+    if r.remaining() != 0 {
+        return Err(corrupt(format!(
+            "{} trailing bytes after the guard frame",
+            r.remaining()
+        )));
+    }
+    Ok(Frame {
+        served_by,
+        dtype,
+        dims,
+        payload,
+    })
+}
+
+/// Frame v1's checksum: FNV-1a binding the header fields to the payload.
+fn frame_checksum_v1(served_by: &str, dtype_tag: u8, dims: &[usize], payload: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     h.update(served_by.as_bytes());
     h.update(&[dtype_tag]);
@@ -409,7 +461,9 @@ impl Compressor for Guard {
         o.set("guard:timeouts", stats.timeouts);
         o.set("guard:cancelled", stats.cancelled);
         o.set("guard:fallback_served", stats.fallback_served);
-        o.merge(&self.child.get_configuration());
+        if let Some(child) = &self.child {
+            o.merge(&child.get_configuration());
+        }
         o
     }
 
@@ -422,7 +476,9 @@ impl Compressor for Guard {
     }
 
     fn thread_safety(&self) -> ThreadSafety {
-        self.child.thread_safety()
+        self.child
+            .as_ref()
+            .map_or(ThreadSafety::Single, |child| child.thread_safety())
     }
 
     fn get_options(&self) -> Options {
@@ -435,13 +491,15 @@ impl Compressor for Guard {
             .with("guard:backoff_ms", self.backoff_ms)
             .with("guard:backoff_jitter_seed", self.backoff_jitter_seed)
             .with("guard:verify", u32::from(self.verify));
-        o.merge(&self.child.get_options());
+        if let Some(child) = &self.child {
+            o.merge(&child.get_options());
+        }
         o
     }
 
     fn set_options(&mut self, options: &Options) -> Result<()> {
         if let Some(name) = options.get_as::<String>("guard:compressor")? {
-            self.child = resolve_child(&name).map_err(|e| e.in_plugin("guard"))?;
+            self.child = Some(resolve_child(&name).map_err(|e| e.in_plugin("guard"))?);
             self.child_name = name;
         }
         if let Some(fallbacks) = options.get_as::<Vec<String>>("guard:fallbacks")? {
@@ -477,7 +535,9 @@ impl Compressor for Guard {
         if let Some(v) = options.get_as::<u32>("guard:verify")? {
             self.verify = v != 0;
         }
-        self.child.set_options(options)?;
+        if let Some(child) = &mut self.child {
+            child.set_options(options)?;
+        }
         // Remember everything ever applied so fallback children and
         // re-armed primaries can be configured identically. Counter echoes
         // from a previous get_options are harmless: they are ignored above
@@ -541,37 +601,29 @@ impl Compressor for Guard {
 
     fn compress(&mut self, input: &Data) -> Result<Data> {
         let mut last_err: Option<Error> = None;
-        let candidate_names: Vec<String> = std::iter::once(self.child_name.clone())
-            .chain(self.fallbacks.iter().cloned())
-            .collect();
-        for (rank, name) in candidate_names.iter().enumerate() {
+        let candidates = std::iter::once(&self.child_name).chain(&self.fallbacks);
+        for (rank, name) in candidates.enumerate() {
             // Rank 0 uses the live primary (preserving its state in the
             // happy path); fallbacks are armed fresh per request.
-            let candidate = if rank == 0 {
-                std::mem::replace(&mut self.child, default_child())
-            } else {
-                match self.arm(name) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        last_err = Some(e);
-                        continue;
-                    }
+            let primary = if rank == 0 { self.child.take() } else { None };
+            let candidate = match primary.map_or_else(|| self.arm(name), Ok) {
+                Ok(c) => c,
+                Err(e) => {
+                    last_err = Some(e);
+                    continue;
                 }
             };
-            let staged = input.clone();
-            let (returned, outcome) =
-                self.with_retries(name, candidate, "compress", move |c| c.compress(&staged));
+            let (returned, outcome) = self.with_retries(name, candidate, "compress", || {
+                let staged = input.clone();
+                move |c| c.compress(&staged)
+            });
             if rank == 0 {
-                match returned {
-                    Some(c) => self.child = c,
-                    None => self.rearm_primary(),
-                }
+                self.child = self.or_rearmed(returned);
             }
             match outcome {
-                Ok(payload_data) => {
-                    let payload = payload_data.as_bytes();
+                Ok(stream) => {
                     if self.verify {
-                        if let Err(e) = self.verify_payload(name, input, payload) {
+                        if let Err(e) = self.verify_payload(name, input, &stream) {
                             self.stats.lock().failures += 1;
                             last_err = Some(e);
                             continue;
@@ -581,8 +633,8 @@ impl Compressor for Guard {
                         self.stats.lock().fallback_served += 1;
                         pressio_core::trace::count("guard:fallback", 1);
                     }
-                    self.served_by = Some(name.clone());
-                    return Ok(self.frame(name, input, payload));
+                    record_served_by(&mut self.served_by, name);
+                    return Ok(frame(name, input, stream.as_bytes()));
                 }
                 Err(e) => last_err = Some(e),
             }
@@ -594,38 +646,64 @@ impl Compressor for Guard {
     }
 
     fn decompress(&mut self, compressed: &Data, output: &mut Data) -> Result<()> {
-        let (served_by, dtype, dims, payload) = self.unframe(compressed.as_bytes())?;
-        // Route to the child recorded in the frame: the primary when it
-        // served, otherwise a fallback armed with the same options.
-        let child = if served_by == self.child_name {
-            std::mem::replace(&mut self.child, default_child())
-        } else {
-            self.arm(&served_by)?
-        };
-        let payload = Data::from_bytes(payload);
-        let out_dtype = dtype;
-        let out_dims = dims.clone();
-        let (returned, outcome) = self.with_retries(&served_by, child, "decompress", move |c| {
-            let mut staged = Data::owned(out_dtype, out_dims.clone());
-            c.decompress(&payload, &mut staged)?;
-            Ok(staged)
-        });
-        if served_by == self.child_name {
-            match returned {
-                Some(c) => self.child = c,
-                None => self.rearm_primary(),
+        let Frame {
+            served_by,
+            dtype,
+            dims,
+            payload,
+        } = unframe(compressed.as_bytes())?;
+        // A sized output is the caller's statement of what the stream holds
+        // (a daemon sizes it from the request, under the request's cap), and
+        // the buffer the child decodes into: a frame echoing anything else
+        // is refused before a byte is allocated for it. An empty output
+        // lets the frame decide, through the one checked, charged, fallible
+        // allocation.
+        let sized = output.num_elements() != 0;
+        if sized {
+            if output.dtype() != dtype || output.num_elements() != dims.iter().product() {
+                return Err(Error::invalid_argument(format!(
+                    "the frame holds {dims:?} x {dtype} but the output is {:?} x {}",
+                    output.dims(),
+                    output.dtype()
+                ))
+                .in_plugin("guard"));
+            }
+            if output.dims() != dims {
+                output.reshape(dims.clone())?;
             }
         }
-        let staged = outcome?;
-        self.served_by = Some(served_by);
-        *output = staged;
+        // Route to the child recorded in the frame: the primary when it
+        // served, otherwise a fallback armed with the same options.
+        let primary_served = served_by == self.child_name;
+        let primary = if primary_served { self.child.take() } else { None };
+        let child = primary.map_or_else(|| self.arm(served_by), Ok)?;
+        let mut callers_buffer = sized.then(|| std::mem::replace(output, Data::empty(dtype)));
+        let payload = Data::from_bytes(payload);
+        let (returned, outcome) = self.with_retries(served_by, child, "decompress", || {
+            let payload = payload.clone();
+            let dims = dims.clone();
+            let reused = callers_buffer.take();
+            move |c| {
+                let mut staged = match reused {
+                    Some(buffer) => buffer,
+                    None => Data::alloc_output(dtype, dims)?,
+                };
+                c.decompress(&payload, &mut staged)?;
+                Ok(staged)
+            }
+        });
+        if primary_served {
+            self.child = self.or_rearmed(returned);
+        }
+        *output = outcome?;
+        record_served_by(&mut self.served_by, served_by);
         Ok(())
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {
         Box::new(Guard {
             child_name: self.child_name.clone(),
-            child: self.child.clone_compressor(),
+            child: self.child.as_ref().map(|child| child.clone_compressor()),
             fallbacks: self.fallbacks.clone(),
             timeout_ms: self.timeout_ms,
             memory_budget_bytes: self.memory_budget_bytes,
@@ -675,7 +753,6 @@ impl MetricsPlugin for GuardStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pressio_core::DType;
 
     #[test]
     fn jittered_backoff_schedule_is_deterministic_and_pinned() {
@@ -748,6 +825,29 @@ mod tests {
         assert!(max_err <= 1e-4);
     }
 
+    /// A frame as version 1 wrote it: same layout, FNV-1a trailer.
+    fn frame_v1(served_by: &str, dtype: DType, dims: &[usize], payload: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(GUARD_MAGIC);
+        w.put_u16(GUARD_VERSION_FNV);
+        w.put_str(served_by);
+        w.put_dtype(dtype);
+        w.put_dims(dims);
+        w.put_section(payload);
+        w.put_u64(frame_checksum_v1(served_by, dtype.tag(), dims, payload));
+        w.into_vec()
+    }
+
+    /// The same frame as version 2 writes it.
+    fn frame_v2(served_by: &str, dtype: DType, dims: &[usize], payload: &[u8]) -> Vec<u8> {
+        let mut bytes = frame_v1(served_by, dtype, dims, payload);
+        bytes[4..6].copy_from_slice(&GUARD_VERSION.to_le_bytes());
+        let covered = bytes.len() - TRAILER_LEN;
+        let sum = xxh64(&bytes[..covered]);
+        bytes[covered..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn every_frame_field_is_validated() {
         init();
@@ -755,43 +855,134 @@ mod tests {
         let mut g = Guard::new();
         g.set_options(&Options::new().with("guard:compressor", "deflate"))
             .unwrap();
-        let c = g.compress(&input).unwrap();
-        let clean = c.as_bytes().to_vec();
+        let v2 = g.compress(&input).unwrap().as_bytes().to_vec();
+        let payload = unframe(&v2).unwrap().payload;
+        assert_eq!(v2, frame_v2("deflate", DType::F64, &[256], payload));
+        let v1 = frame_v1("deflate", DType::F64, &[256], payload);
+        assert_eq!(v1.len(), v2.len(), "the versions differ in the trailer's value only");
 
-        let cases: Vec<(&str, Vec<u8>)> = vec![
-            ("flipped magic", {
-                let mut b = clean.clone();
-                b[0] ^= 0xff;
-                b
-            }),
-            ("bumped version", {
-                let mut b = clean.clone();
-                b[4] ^= 0x01;
-                b
-            }),
-            ("payload bit flip", {
-                let mut b = clean.clone();
-                let mid = b.len() / 2;
-                b[mid] ^= 0x10;
-                b
-            }),
-            ("truncated tail", clean[..clean.len() - 9].to_vec()),
-            ("extended tail", {
-                let mut b = clean.clone();
-                b.extend_from_slice(&[0u8; 16]);
-                b
-            }),
-            ("empty stream", Vec::new()),
-        ];
-        for (case, bytes) in cases {
+        for (version, clean) in [(1u16, v1), (2, v2)] {
+            let cases: Vec<(&str, Vec<u8>)> = vec![
+                ("flipped magic", {
+                    let mut b = clean.clone();
+                    b[0] ^= 0xff;
+                    b
+                }),
+                ("unknown version", {
+                    let mut b = clean.clone();
+                    b[4] = 3;
+                    b
+                }),
+                ("the other version's label", {
+                    let mut b = clean.clone();
+                    b[4] ^= 0x03;
+                    b
+                }),
+                ("renamed child", {
+                    let mut b = clean.clone();
+                    b[14] ^= 0x01;
+                    b
+                }),
+                ("dtype tag", {
+                    let mut b = clean.clone();
+                    b[21] ^= 0x01;
+                    b
+                }),
+                ("dimension", {
+                    let mut b = clean.clone();
+                    b[26] ^= 0x01;
+                    b
+                }),
+                ("payload bit flip", {
+                    let mut b = clean.clone();
+                    let mid = b.len() / 2;
+                    b[mid] ^= 0x10;
+                    b
+                }),
+                ("trailer bit flip", {
+                    let mut b = clean.clone();
+                    let last = b.len() - 1;
+                    b[last] ^= 0x80;
+                    b
+                }),
+                ("truncated tail", clean[..clean.len() - 9].to_vec()),
+                ("extended tail", {
+                    let mut b = clean.clone();
+                    b.extend_from_slice(&[0u8; 16]);
+                    b
+                }),
+                ("empty stream", Vec::new()),
+            ];
+            for (case, bytes) in cases {
+                let mut out = Data::owned(DType::F64, vec![256]);
+                let err = g.decompress(&Data::from_bytes(&bytes), &mut out).unwrap_err();
+                assert_eq!(err.code(), ErrorCode::CorruptStream, "v{version} {case}: {err}");
+            }
+            // The clean stream still decodes after all that.
             let mut out = Data::owned(DType::F64, vec![256]);
-            let err = g.decompress(&Data::from_bytes(&bytes), &mut out).unwrap_err();
-            assert_eq!(err.code(), ErrorCode::CorruptStream, "{case}: {err}");
+            g.decompress(&Data::from_bytes(&clean), &mut out).unwrap();
+            assert_eq!(out, input, "v{version}");
         }
-        // The clean stream still decodes after all that.
-        let mut out = Data::owned(DType::F64, vec![256]);
-        g.decompress(&Data::from_bytes(&clean), &mut out).unwrap();
+    }
+
+    #[test]
+    fn a_hostile_geometry_echo_is_an_error_not_an_abort() {
+        init();
+        // 51 bytes, every field well-formed, a checksum anyone can compute:
+        // the frame claims its four payload bytes decode to half a terabyte.
+        let huge = [1usize << 37];
+        for hostile in [
+            frame_v1("noop", DType::F32, &huge, b"tiny"),
+            frame_v2("noop", DType::F32, &huge, b"tiny"),
+        ] {
+            assert_eq!(hostile.len(), 51);
+            let hostile = Data::from_bytes(&hostile);
+            let mut g = Guard::new();
+            // A caller that says what it expects is never resized by the
+            // frame: refused before anything is allocated.
+            let mut sized = Data::owned(DType::F32, vec![4]);
+            let err = g.decompress(&hostile, &mut sized).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::InvalidArgument, "{err}");
+            assert_eq!(sized.dims(), &[4], "a refused frame leaves the output alone");
+            // A caller that lets the frame decide gets the checked, charged,
+            // fallible allocation — under a budget, a clean Cancelled.
+            let token = pressio_core::CancelToken::new();
+            token.set_memory_budget(64 << 20);
+            let err = pressio_core::cancel::with_token(&token, || {
+                g.decompress(&hostile, &mut Data::empty(DType::F32))
+            })
+            .unwrap_err();
+            assert_eq!(err.code(), ErrorCode::Cancelled, "{err}");
+            // And with no budget at all, whatever the host says, no abort.
+            assert!(g.decompress(&hostile, &mut Data::empty(DType::F32)).is_err());
+            // The guard is still usable afterwards.
+            let input = field(16);
+            let c = g.compress(&input).unwrap();
+            let mut out = Data::empty(DType::F64);
+            g.decompress(&c, &mut out).unwrap();
+            assert_eq!(out, input);
+        }
+    }
+
+    #[test]
+    fn a_sized_output_is_decoded_in_place_and_reshaped_to_the_frame() {
+        init();
+        let v: Vec<f64> = (0..64).map(|i| i as f64).collect();
+        let input = Data::from_vec(v, vec![8, 8]).unwrap();
+        let mut g = Guard::new();
+        let c = g.compress(&input).unwrap();
+        // Same element count, flattened: the caller's allocation is the one
+        // the child fills, and it comes back in the frame's shape.
+        let mut out = Data::owned(DType::F64, vec![64]);
+        let buffer = out.as_bytes().as_ptr();
+        g.decompress(&c, &mut out).unwrap();
         assert_eq!(out, input);
+        assert_eq!(out.as_bytes().as_ptr(), buffer, "the output was allocated twice");
+        // Wrong dtype or element count: refused.
+        for mut wrong in [Data::owned(DType::F32, vec![8, 8]), Data::owned(DType::F64, vec![63])] {
+            let err = g.decompress(&c, &mut wrong).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::InvalidArgument, "{err}");
+        }
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //! `guard` meta-compressor is held to the strict standard: its integrity
 //! frame must reject **every** stream the mutator actually changed.
 //!
+//! That strictness is also a blind spot: byte-level damage always breaks the
+//! frame's checksum first, so nothing behind the checksum — the geometry
+//! echo that sizes the output, the child decoding a damaged payload under a
+//! valid frame — is ever reached. The *resealed* targets close it: after
+//! the damage the frame's trailer is recomputed (the checksum is integrity,
+//! not authentication — anyone can), and the decoder is handed an empty
+//! output so the frame alone decides what is allocated. A resealed frame
+//! may be accepted; it may not panic, hang, or abort on an allocation.
+//!
 //! Determinism: the whole sweep derives from one `--seed`, with each
 //! (plugin, mode, case) triple hashed to its own RNG stream, so a failure
 //! report is reproducible bit for bit.
@@ -177,6 +186,18 @@ struct Target {
     /// Extra options applied after the generic arming — wires `guard`'s
     /// child, the parallel meta's child, and so on.
     stack: Option<Options>,
+    /// Recompute the guard frame's checksum after every mutation and decode
+    /// into an empty output (see the module docs).
+    resealed: bool,
+}
+
+/// Make a damaged guard frame pass its checksum again: frame v2's trailer
+/// is XXH64 over every byte before it.
+fn reseal(frame: &mut [u8]) {
+    if let Some(covered) = frame.len().checked_sub(8) {
+        let sum = libpressio::core::xxh64(&frame[..covered]);
+        frame[covered..].copy_from_slice(&sum.to_le_bytes());
+    }
 }
 
 /// Stacked meta-compressor targets swept in addition to the plain registry
@@ -184,28 +205,44 @@ struct Target {
 /// must stop at the guard's frame before the inner decoders parse anything,
 /// no matter how many layers sit underneath.
 fn stacked_targets() -> Vec<Target> {
+    let guard_over = |child: &str| Options::new().with("guard:compressor", child);
     vec![
         Target {
             label: "guard>chunking>sz".to_string(),
             name: "guard".to_string(),
             stack: Some(
-                Options::new()
-                    .with("guard:compressor", "chunking")
+                guard_over("chunking")
                     .with("chunking:compressor", "sz")
                     .with("chunking:nthreads", 2u32)
                     .with("guard:timeout_ms", 2_000u64),
             ),
+            resealed: false,
         },
         Target {
             label: "guard>many_independent>zfp".to_string(),
             name: "guard".to_string(),
             stack: Some(
-                Options::new()
-                    .with("guard:compressor", "many_independent")
+                guard_over("many_independent")
                     .with("many_independent:compressor", "zfp")
                     .with("many_independent:nthreads", 2u32)
                     .with("guard:timeout_ms", 2_000u64),
             ),
+            resealed: false,
+        },
+        // Behind a valid checksum: `noop` accepts any payload of the right
+        // size, so the frame's geometry echo is all that stands between a
+        // damaged dimension and the allocator; `sz` parses what it is given.
+        Target {
+            label: "guard>noop[resealed]".to_string(),
+            name: "guard".to_string(),
+            stack: Some(guard_over("noop")),
+            resealed: true,
+        },
+        Target {
+            label: "guard>sz[resealed]".to_string(),
+            name: "guard".to_string(),
+            stack: Some(guard_over("sz")),
+            resealed: true,
         },
         // The registry walk already fuzzes `sz` with its default deflate
         // tail and the standalone `rans` codec; this target covers the
@@ -216,6 +253,7 @@ fn stacked_targets() -> Vec<Target> {
             label: "sz[lossless=rans]".to_string(),
             name: "sz".to_string(),
             stack: Some(Options::new().with("sz:lossless", "rans")),
+            resealed: false,
         },
     ]
 }
@@ -242,8 +280,9 @@ fn armed_handle(
 }
 
 /// Decode one damaged stream on a watchdog worker, catching panics.
-fn decode_case(name: &str, stack: Option<&Options>, mutated: Vec<u8>, timeout_ms: u64) -> CaseOutcome {
-    let handle = match armed_handle(name, stack) {
+fn decode_case(target: &Target, mutated: Vec<u8>, timeout_ms: u64) -> CaseOutcome {
+    let sized = !target.resealed;
+    let handle = match armed_handle(&target.name, target.stack.as_ref()) {
         Ok(h) => h,
         // The compressor armed moments ago; losing the registry entry
         // mid-sweep is a harness bug, surfaced as a failure by the caller.
@@ -260,7 +299,11 @@ fn decode_case(name: &str, stack: Option<&Options>, mutated: Vec<u8>, timeout_ms
         }
         let mut handle = handle;
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let mut out = Data::owned(DType::F32, vec![16usize, 16, 16]);
+            let mut out = if sized {
+                Data::owned(DType::F32, vec![16usize, 16, 16])
+            } else {
+                Data::empty(DType::F32)
+            };
             handle.decompress(&Data::from_bytes(&mutated), &mut out)
         }));
         match caught {
@@ -285,6 +328,7 @@ pub fn fuzz_compressor(name: &str, cfg: &FuzzConfig, report: &mut FuzzReport) {
             label: name.to_string(),
             name: name.to_string(),
             stack: None,
+            resealed: false,
         },
         cfg,
         report,
@@ -332,19 +376,22 @@ fn fuzz_target(target: &Target, cfg: &FuzzConfig, report: &mut FuzzReport) {
     // The guard's integrity frame must reject every byte-level change —
     // whether it wraps a codec directly or a whole meta stack; for
     // everything else acceptance of damaged payload bytes is legal.
-    let strict = target.name == "guard";
+    let strict = target.name == "guard" && !target.resealed;
 
     for mode in ALL_FAULT_MODES {
         for case in 0..cfg.iterations {
             let mut rng = case_rng(cfg.seed, name, mode, case);
             let intensity = rng.gen_range(1..48u32);
-            let mutated = mutate_stream(&clean, mode, intensity, &mut rng);
+            let mut mutated = mutate_stream(&clean, mode, intensity, &mut rng);
+            if target.resealed {
+                reseal(&mut mutated);
+            }
             let changed = mutated != clean;
             if !changed {
                 report.unchanged += 1;
             }
             report.cases += 1;
-            match decode_case(&target.name, target.stack.as_ref(), mutated, cfg.timeout_ms) {
+            match decode_case(target, mutated, cfg.timeout_ms) {
                 CaseOutcome::Rejected => report.rejected += 1,
                 CaseOutcome::Accepted => {
                     report.accepted += 1;
@@ -410,6 +457,27 @@ mod tests {
         assert_ne!(draw("sz", FaultMode::Bitflip, 0), draw("sz", FaultMode::Bitflip, 1));
         assert_ne!(draw("sz", FaultMode::Bitflip, 0), draw("sz", FaultMode::Truncate, 0));
         assert_ne!(draw("sz", FaultMode::Bitflip, 0), draw("zfp", FaultMode::Bitflip, 0));
+    }
+
+    #[test]
+    fn a_resealed_frame_gets_past_the_checksum() {
+        libpressio::init();
+        let mut guard = armed_handle("guard", None).expect("guard arms");
+        let mut frame = guard.compress(&seed_input()).expect("compress").as_bytes().to_vec();
+        let mid = frame.len() / 2;
+        frame[mid] ^= 0x40;
+        let mut out = Data::empty(DType::F32);
+        let err = guard
+            .decompress(&Data::from_bytes(&frame), &mut out)
+            .expect_err("a flipped payload bit breaks the checksum");
+        assert_eq!(err.code(), ErrorCode::CorruptStream);
+        // Resealed, the same damage reaches the child: noop takes the
+        // flipped bit as different data.
+        reseal(&mut frame);
+        guard
+            .decompress(&Data::from_bytes(&frame), &mut out)
+            .expect("resealed frame passes the integrity check");
+        assert_ne!(out.as_bytes(), seed_input().as_bytes());
     }
 
     #[test]

@@ -16,41 +16,13 @@ use libpressio::core::trace;
 use libpressio::{DType, Error, ErrorCode, Result};
 
 use super::protocol::{
-    encode_bodyless, encode_request, parse_response, read_frame, write_frame, FrameKind,
-    ReadOutcome, Response, DEFAULT_MAX_BODY,
+    encode_bodyless, read_response, write_frame, write_request, FrameKind, Response, ResponseRead,
+    DEFAULT_MAX_BODY, MID_FRAME_STALL_MS,
 };
+use super::Stream;
 
 /// How often a waiting client re-checks its overall response deadline.
 const CLIENT_POLL_MS: u64 = 50;
-
-enum ClientStream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl std::io::Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl std::io::Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
 
 /// What one request produced: a payload, or a structured shed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +40,7 @@ pub enum ServeOutcome {
 
 /// One connection to a `pressio serve` daemon.
 pub struct Client {
-    stream: ClientStream,
+    stream: Stream,
     next_id: u64,
     /// Overall per-request response deadline.
     timeout_ms: u64,
@@ -84,7 +56,7 @@ impl Client {
             .and_then(|()| stream.set_read_timeout(Some(Duration::from_millis(CLIENT_POLL_MS))))
             .map_err(|e| Error::new(ErrorCode::Io, e.to_string()))?;
         Ok(Client {
-            stream: ClientStream::Tcp(stream),
+            stream: Stream::Tcp(stream),
             next_id: 1,
             timeout_ms: 60_000,
         })
@@ -98,7 +70,7 @@ impl Client {
             .set_read_timeout(Some(Duration::from_millis(CLIENT_POLL_MS)))
             .map_err(|e| Error::new(ErrorCode::Io, e.to_string()))?;
         Ok(Client {
-            stream: ClientStream::Unix(stream),
+            stream: Stream::Unix(stream),
             next_id: 1,
             timeout_ms: 60_000,
         })
@@ -118,9 +90,7 @@ impl Client {
         dims: &[usize],
         payload: &[u8],
     ) -> Result<ServeOutcome> {
-        let id = self.next_id();
-        let frame = encode_request(FrameKind::Compress, id, profile, dtype, dims, payload);
-        self.round_trip(id, frame)
+        self.data_request(FrameKind::Compress, profile, dtype, dims, payload)
     }
 
     /// Decompress a stream back into a `dtype`/`dims` tensor under the
@@ -132,16 +102,12 @@ impl Client {
         dims: &[usize],
         stream: &[u8],
     ) -> Result<ServeOutcome> {
-        let id = self.next_id();
-        let frame = encode_request(FrameKind::Decompress, id, profile, dtype, dims, stream);
-        self.round_trip(id, frame)
+        self.data_request(FrameKind::Decompress, profile, dtype, dims, stream)
     }
 
     /// Fetch the daemon's health/stats document (JSON).
     pub fn health(&mut self) -> Result<String> {
-        let id = self.next_id();
-        let frame = encode_bodyless(FrameKind::Health, id);
-        match self.round_trip_raw(id, frame)? {
+        match self.control_request(FrameKind::Health)? {
             Response::Health(json) => Ok(json),
             other => Err(Error::new(
                 ErrorCode::CorruptStream,
@@ -152,9 +118,7 @@ impl Client {
 
     /// Ask the daemon to begin a graceful drain.
     pub fn shutdown(&mut self) -> Result<()> {
-        let id = self.next_id();
-        let frame = encode_bodyless(FrameKind::Shutdown, id);
-        match self.round_trip_raw(id, frame)? {
+        match self.control_request(FrameKind::Shutdown)? {
             Response::Ok(_) => Ok(()),
             Response::Error { code, message } => Err(Error::new(code, message)),
             other => Err(Error::new(
@@ -170,8 +134,26 @@ impl Client {
         id
     }
 
-    fn round_trip(&mut self, id: u64, frame: Vec<u8>) -> Result<ServeOutcome> {
-        match self.round_trip_raw(id, frame)? {
+    fn control_request(&mut self, kind: FrameKind) -> Result<Response> {
+        let id = self.next_id();
+        write_frame(&mut self.stream, &encode_bodyless(kind, id))?;
+        self.await_response(id)
+    }
+
+    /// One compress / decompress round trip. The payload goes to the socket
+    /// from the caller's slice and the result comes off it into the `Vec`
+    /// the caller gets: neither is copied into a frame on this side.
+    fn data_request(
+        &mut self,
+        kind: FrameKind,
+        profile: &str,
+        dtype: DType,
+        dims: &[usize],
+        payload: &[u8],
+    ) -> Result<ServeOutcome> {
+        let id = self.next_id();
+        write_request(&mut self.stream, kind, id, profile, dtype, dims, payload)?;
+        match self.await_response(id)? {
             Response::Ok(bytes) => Ok(ServeOutcome::Ok(bytes)),
             Response::Busy {
                 retry_after_ms,
@@ -189,13 +171,12 @@ impl Client {
         }
     }
 
-    fn round_trip_raw(&mut self, id: u64, frame: Vec<u8>) -> Result<Response> {
-        write_frame(&mut self.stream, &frame)?;
+    fn await_response(&mut self, id: u64) -> Result<Response> {
         let deadline =
             trace::monotonic_ns().saturating_add(self.timeout_ms.saturating_mul(1_000_000));
         loop {
-            match read_frame(&mut self.stream, DEFAULT_MAX_BODY)? {
-                ReadOutcome::Idle => {
+            match read_response(&mut self.stream, DEFAULT_MAX_BODY, MID_FRAME_STALL_MS)? {
+                ResponseRead::Idle => {
                     if trace::monotonic_ns() >= deadline {
                         return Err(Error::timeout(format!(
                             "no response to request {id} within {} ms",
@@ -203,14 +184,13 @@ impl Client {
                         )));
                     }
                 }
-                ReadOutcome::Eof => {
+                ResponseRead::Eof => {
                     return Err(Error::new(
                         ErrorCode::Io,
                         "server closed the connection before responding",
                     ));
                 }
-                ReadOutcome::Frame(header, body) => {
-                    let response = parse_response(header.kind, &body)?;
+                ResponseRead::Response(header, response) => {
                     // id 0 marks a connection-level error (framing desync);
                     // anything else must match the outstanding request.
                     if header.request_id == id || header.request_id == 0 {

@@ -59,14 +59,12 @@ use std::time::Duration;
 
 use libpressio::core::cancel::CancelToken;
 use libpressio::core::serve::{AdmissionQueue, DrainGate, InFlightPermit, ShedReason};
-use libpressio::core::{
-    checked_geometry, registry, run_cancellable, spawn_service, trace, watchdog_stats,
-};
-use libpressio::{CompressorHandle, DType, Data, Error, ErrorCode, Options, Result};
+use libpressio::core::{registry, run_cancellable, spawn_service, trace, watchdog_stats};
+use libpressio::{CompressorHandle, Data, Error, ErrorCode, Options, Result};
 
 use protocol::{
-    encode_response, parse_request, read_frame, FrameKind, ReadOutcome, RequestBody, Response,
-    DEFAULT_MAX_BODY,
+    encode_response, read_request, FrameKind, RequestRead, Response, StreamedRequest,
+    DEFAULT_MAX_BODY, MID_FRAME_STALL_MS,
 };
 
 /// Socket read timeout: how often idle readers re-check the drain flag.
@@ -211,12 +209,22 @@ pub struct ServeConfig {
     pub allow_remote_shutdown: bool,
 }
 
+/// What a connection's writer thread is handed to put on the socket.
+enum Outgoing {
+    /// A request's result, still in the [`Data`] the codec left it in: the
+    /// writer sends it beside its 25 bytes of header and length in one
+    /// vectored write, so the result is never copied into a frame.
+    Result { request_id: u64, payload: Data },
+    /// Everything else — errors, busy, health, acks: small, encoded up front.
+    Frame(Vec<u8>),
+}
+
 /// A connection's response path: the bounded write buffer plus the poison
 /// flag that condemns the whole connection. Cloned into every [`Request`]
 /// admitted from that connection.
 #[derive(Clone)]
 struct ConnTx {
-    tx: SyncSender<Vec<u8>>,
+    tx: SyncSender<Outgoing>,
     /// Set when the connection is condemned — a slow-writer give-up or a
     /// write failure. The writer thread closes the stream on sight and the
     /// reader stops consuming, honoring the documented contract that a
@@ -234,10 +242,8 @@ struct Request {
     /// Client correlation id, echoed in the response frame.
     client_id: u64,
     kind: FrameKind,
-    profile: String,
-    dtype: DType,
-    dims: Vec<usize>,
-    payload: Vec<u8>,
+    /// Profile, geometry and the payload where the reader landed it.
+    body: StreamedRequest,
     /// The originating connection's response path.
     conn: ConnTx,
     permit: InFlightPermit,
@@ -270,11 +276,11 @@ impl ProfileStats {
         }
     }
 
-    fn record(&mut self, outcome: &Response, latency_ms: f64) {
+    fn record(&mut self, failure: Option<ErrorCode>, latency_ms: f64) {
         self.requests += 1;
-        match outcome {
-            Response::Ok(_) => self.ok += 1,
-            Response::Error { code, .. } => {
+        match failure {
+            None => self.ok += 1,
+            Some(code) => {
                 self.errors += 1;
                 match code {
                     ErrorCode::Timeout => self.timeouts += 1,
@@ -282,7 +288,6 @@ impl ProfileStats {
                     _ => {}
                 }
             }
-            _ => {}
         }
         const RING: usize = 4096;
         if self.samples.len() < RING {
@@ -361,6 +366,8 @@ enum Listener {
     Unix(UnixListener),
 }
 
+/// Either kind of connected socket, from either end: the daemon's accepted
+/// connections and the [`client`]'s.
 enum Stream {
     Tcp(TcpStream),
     Unix(UnixStream),
@@ -421,6 +428,14 @@ impl std::io::Write for Stream {
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Unix(s) => s.write(buf),
+        }
+    }
+    // The default writes only the first buffer: a frame's header would
+    // leave alone, under `nodelay` in a TCP segment of its own.
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
         }
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -757,16 +772,13 @@ fn spawn_connection(shared: &Arc<Shared>, stream: Stream, remote: bool) -> Resul
     if live >= shared.max_connections {
         shared.busy_responses.fetch_add(1, Ordering::Relaxed);
         trace::count("serve:conn_rejected", 1);
-        let frame = encode_response(
-            0,
-            &Response::Busy {
-                retry_after_ms: 100,
-                depth: live as u32,
-                message: format!("connection limit ({}) reached", shared.max_connections),
-            },
-        );
+        let busy = Response::Busy {
+            retry_after_ms: 100,
+            depth: live as u32,
+            message: format!("connection limit ({}) reached", shared.max_connections),
+        };
         let mut stream = stream;
-        let _ = protocol::write_frame(&mut stream, &frame);
+        let _ = protocol::write_response(&mut stream, 0, &busy);
         stream.shutdown();
         return Ok(());
     }
@@ -778,7 +790,7 @@ fn spawn_connection(shared: &Arc<Shared>, stream: Stream, remote: bool) -> Resul
         .map_err(|e| Error::new(ErrorCode::Io, e.to_string()))?;
     shared.connections.fetch_add(1, Ordering::Relaxed);
     trace::count("serve:connections", 1);
-    let (tx, rx) = sync_channel::<Vec<u8>>(shared.write_buffer_frames);
+    let (tx, rx) = sync_channel::<Outgoing>(shared.write_buffer_frames);
     let conn = ConnTx {
         tx,
         poisoned: Arc::new(AtomicBool::new(false)),
@@ -804,16 +816,23 @@ fn spawn_connection(shared: &Arc<Shared>, stream: Stream, remote: bool) -> Resul
 fn writer_loop(
     _shared: Arc<Shared>,
     mut stream: Stream,
-    rx: Receiver<Vec<u8>>,
+    rx: Receiver<Outgoing>,
     poisoned: Arc<AtomicBool>,
 ) {
     loop {
         match rx.recv_timeout(Duration::from_millis(READ_POLL_MS)) {
-            Ok(frame) => {
+            Ok(outgoing) => {
                 if poisoned.load(Ordering::Relaxed) {
                     break;
                 }
-                if protocol::write_frame(&mut stream, &frame).is_err() {
+                let written = match &outgoing {
+                    Outgoing::Result {
+                        request_id,
+                        payload,
+                    } => protocol::write_ok(&mut stream, *request_id, payload.as_bytes()),
+                    Outgoing::Frame(frame) => protocol::write_frame(&mut stream, frame),
+                };
+                if written.is_err() {
                     // Stuffed or dead peer past the write timeout: the
                     // connection is over; readers see the poison flag.
                     poisoned.store(true, Ordering::SeqCst);
@@ -837,24 +856,23 @@ fn writer_loop(
 /// `slow_writer_give_up_ms` — and a give-up *poisons the connection*: the
 /// writer closes the stream, so the client sees a closed socket instead
 /// of silently waiting forever on a request id that was forfeited.
-fn bounded_send(shared: &Shared, conn: &ConnTx, frame: Vec<u8>) -> bool {
+fn bounded_send(shared: &Shared, conn: &ConnTx, mut outgoing: Outgoing) -> bool {
     let deadline = trace::monotonic_ns()
         .saturating_add(shared.slow_writer_give_up_ms.saturating_mul(1_000_000));
-    let mut frame = frame;
     loop {
         if conn.poisoned.load(Ordering::Relaxed) {
             return false;
         }
-        match conn.tx.try_send(frame) {
+        match conn.tx.try_send(outgoing) {
             Ok(()) => return true,
-            Err(TrySendError::Full(f)) => {
+            Err(TrySendError::Full(back)) => {
                 if trace::monotonic_ns() >= deadline {
                     shared.slow_drops.fetch_add(1, Ordering::Relaxed);
                     trace::count("serve:slow_reader_drop", 1);
                     conn.poisoned.store(true, Ordering::SeqCst);
                     return false;
                 }
-                frame = f;
+                outgoing = back;
                 std::thread::sleep(Duration::from_millis(SEND_POLL_MS.min(5)));
             }
             Err(TrySendError::Disconnected(_)) => return false,
@@ -867,15 +885,22 @@ fn respond_busy(shared: &Shared, conn: &ConnTx, client_id: u64, depth: usize, ms
     trace::count("serve:busy", 1);
     // Retry hint grows with the backlog the shed request saw.
     let retry_after_ms = (5 + 2 * depth as u32).clamp(5, 250);
-    let frame = encode_response(
-        client_id,
-        &Response::Busy {
-            retry_after_ms,
-            depth: depth as u32,
-            message: msg.to_string(),
-        },
-    );
-    let _ = bounded_send(shared, conn, frame);
+    let busy = Response::Busy {
+        retry_after_ms,
+        depth: depth as u32,
+        message: msg.to_string(),
+    };
+    let _ = send_response(shared, conn, client_id, &busy);
+}
+
+/// Queue a small response, encoded here; `false` when the connection is
+/// gone or condemned.
+fn send_response(shared: &Shared, conn: &ConnTx, client_id: u64, response: &Response) -> bool {
+    bounded_send(shared, conn, Outgoing::Frame(encode_response(client_id, response)))
+}
+
+fn send_error(shared: &Shared, conn: &ConnTx, client_id: u64, code: ErrorCode, message: String) -> bool {
+    send_response(shared, conn, client_id, &Response::Error { code, message })
 }
 
 fn reader_loop(shared: Arc<Shared>, mut stream: Stream, conn: ConnTx, remote: bool) {
@@ -883,166 +908,101 @@ fn reader_loop(shared: Arc<Shared>, mut stream: Stream, conn: ConnTx, remote: bo
         if conn.poisoned.load(Ordering::Relaxed) {
             break;
         }
-        match read_frame(&mut stream, shared.max_body) {
-            Ok(ReadOutcome::Idle) => {
-                if shared.draining.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            Ok(ReadOutcome::Eof) => break,
-            Ok(ReadOutcome::Frame(header, body)) => {
-                if !handle_frame(&shared, &conn, header, &body, remote) {
-                    break;
-                }
-            }
-            Err(e) if e.code() == ErrorCode::CorruptStream => {
-                // Malformed framing (including a mid-frame stall): answer
-                // structurally, then close — we cannot trust the byte
-                // stream to be in sync anymore.
+        let keep_open = match read_request(&mut stream, shared.max_body, MID_FRAME_STALL_MS) {
+            Ok(RequestRead::Idle) => !shared.draining.load(Ordering::Relaxed),
+            Ok(RequestRead::Eof) => false,
+            Ok(RequestRead::Data(header, body)) => admit(&shared, &conn, header, body),
+            Ok(RequestRead::Bodyless(header)) => control(&shared, &conn, header, remote),
+            Ok(RequestRead::Rejected(header, e)) => {
+                // The frame boundary itself was sound (header validated,
+                // body consumed to its end), so a garbage *body* is
+                // answerable in-protocol without losing sync.
                 shared.malformed.fetch_add(1, Ordering::Relaxed);
                 trace::count("serve:malformed", 1);
-                let frame = encode_response(
-                    0,
-                    &Response::Error {
-                        code: ErrorCode::CorruptStream,
-                        message: e.to_string(),
-                    },
-                );
-                let _ = bounded_send(&shared, &conn, frame);
-                break;
+                send_error(&shared, &conn, header.request_id, e.code(), e.to_string())
             }
-            Err(_) => break,
+            Err(e) => {
+                if e.code() == ErrorCode::CorruptStream {
+                    // Malformed framing (including a mid-frame stall):
+                    // answer structurally, then close — we cannot trust the
+                    // byte stream to be in sync anymore.
+                    shared.malformed.fetch_add(1, Ordering::Relaxed);
+                    trace::count("serve:malformed", 1);
+                    let _ = send_error(&shared, &conn, 0, e.code(), e.to_string());
+                }
+                false
+            }
+        };
+        if !keep_open {
+            break;
         }
     }
     // Dropping the ConnTx lets the writer drain pending responses and exit.
 }
 
-/// Handle one parsed frame; `false` closes the connection.
-fn handle_frame(
+/// Answer a health or shutdown request; `false` closes the connection.
+fn control(shared: &Arc<Shared>, conn: &ConnTx, header: protocol::FrameHeader, remote: bool) -> bool {
+    if header.kind == FrameKind::Health {
+        return send_response(shared, conn, header.request_id, &Response::Health(health_json(shared)));
+    }
+    if remote && !shared.allow_remote_shutdown {
+        trace::count("serve:shutdown_refused", 1);
+        return send_error(
+            shared,
+            conn,
+            header.request_id,
+            ErrorCode::Unsupported,
+            "shutdown over TCP is disabled; use the unix socket or start the daemon with \
+             --allow-remote-shutdown"
+                .to_string(),
+        );
+    }
+    shared.shutdown_requested.store(true, Ordering::SeqCst);
+    trace::count("serve:shutdown_requested", 1);
+    let _ = send_response(shared, conn, header.request_id, &Response::Ok(Vec::new()));
+    true
+}
+
+/// Admit a data request to the queue or shed it; `false` closes the
+/// connection.
+fn admit(
     shared: &Arc<Shared>,
     conn: &ConnTx,
     header: protocol::FrameHeader,
-    body: &[u8],
-    remote: bool,
+    body: StreamedRequest,
 ) -> bool {
-    let parsed = match parse_request(header.kind, body) {
-        Ok(p) => p,
-        Err(e) => {
-            // The frame boundary itself was sound (header validated, body
-            // consumed), so a garbage *body* is answerable in-protocol
-            // without losing sync.
-            shared.malformed.fetch_add(1, Ordering::Relaxed);
-            trace::count("serve:malformed", 1);
-            let frame = encode_response(
-                header.request_id,
-                &Response::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
-            );
-            return bounded_send(shared, conn, frame);
-        }
-    };
-    match parsed {
-        RequestBody::Health => {
-            let frame =
-                encode_response(header.request_id, &Response::Health(health_json(shared)));
-            bounded_send(shared, conn, frame)
-        }
-        RequestBody::Shutdown => {
-            if remote && !shared.allow_remote_shutdown {
-                trace::count("serve:shutdown_refused", 1);
-                let frame = encode_response(
-                    header.request_id,
-                    &Response::Error {
-                        code: ErrorCode::Unsupported,
-                        message: "shutdown over TCP is disabled; use the unix socket or \
-                                  start the daemon with --allow-remote-shutdown"
-                            .to_string(),
-                    },
-                );
-                return bounded_send(shared, conn, frame);
-            }
-            shared.shutdown_requested.store(true, Ordering::SeqCst);
-            trace::count("serve:shutdown_requested", 1);
-            let frame = encode_response(header.request_id, &Response::Ok(Vec::new()));
-            let _ = bounded_send(shared, conn, frame);
-            true
-        }
-        RequestBody::Compress {
-            profile,
-            dtype,
-            dims,
-            payload,
-        }
-        | RequestBody::Decompress {
-            profile,
-            dtype,
-            dims,
-            payload,
-        } => {
-            if !shared.bounds.contains_key(profile) {
-                let frame = encode_response(
-                    header.request_id,
-                    &Response::Error {
-                        code: ErrorCode::NotFound,
-                        message: format!("no profile named {profile:?}"),
-                    },
-                );
-                return bounded_send(shared, conn, frame);
-            }
-            // A decompress declares its *output* geometry; cap it by the
-            // same frame-body limit as inputs, or a hostile client could
-            // make a worker allocate (and frame) an arbitrarily large
-            // response from a tiny request.
-            if header.kind == FrameKind::Decompress {
-                let out_bytes = checked_geometry(dtype, &dims).unwrap_or(usize::MAX);
-                if out_bytes > shared.max_body {
-                    let frame = encode_response(
-                        header.request_id,
-                        &Response::Error {
-                            code: ErrorCode::InvalidArgument,
-                            message: format!(
-                                "declared output geometry of {out_bytes} bytes exceeds the \
-                                 {}-byte frame cap",
-                                shared.max_body
-                            ),
-                        },
-                    );
-                    return bounded_send(shared, conn, frame);
-                }
-            }
-            let Some(permit) = shared.gate.admit() else {
-                respond_busy(shared, conn, header.request_id, 0, "draining: not accepting new requests");
-                return true;
-            };
-            let request = Request {
-                serial: shared.serial.fetch_add(1, Ordering::Relaxed),
-                client_id: header.request_id,
-                kind: header.kind,
-                profile: profile.to_string(),
-                dtype,
-                dims,
-                payload: payload.to_vec(),
-                conn: conn.clone(),
-                permit,
-                enqueue_ns: trace::monotonic_ns(),
-            };
-            match shared.queue.try_submit(request) {
-                Ok(_) => true,
-                Err((request, reason)) => {
-                    let depth = shared.queue.depth();
-                    let msg = match reason {
-                        ShedReason::Full => "admission queue full",
-                        ShedReason::Closed => "draining: not accepting new requests",
-                    };
-                    respond_busy(shared, &request.conn, request.client_id, depth, msg);
-                    drop(request); // permit retires here, never executed
-                    true
-                }
-            }
-        }
+    if !shared.bounds.contains_key(&body.profile) {
+        return send_error(
+            shared,
+            conn,
+            header.request_id,
+            ErrorCode::NotFound,
+            format!("no profile named {:?}", body.profile),
+        );
     }
+    let Some(permit) = shared.gate.admit() else {
+        respond_busy(shared, conn, header.request_id, 0, "draining: not accepting new requests");
+        return true;
+    };
+    let request = Request {
+        serial: shared.serial.fetch_add(1, Ordering::Relaxed),
+        client_id: header.request_id,
+        kind: header.kind,
+        body,
+        conn: conn.clone(),
+        permit,
+        enqueue_ns: trace::monotonic_ns(),
+    };
+    if let Err((request, reason)) = shared.queue.try_submit(request) {
+        let depth = shared.queue.depth();
+        let msg = match reason {
+            ShedReason::Full => "admission queue full",
+            ShedReason::Closed => "draining: not accepting new requests",
+        };
+        respond_busy(shared, &request.conn, request.client_id, depth, msg);
+        drop(request); // permit retires here, never executed
+    }
+    true
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -1060,32 +1020,16 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-fn execute(
-    handle: &mut CompressorHandle,
-    kind: FrameKind,
-    dtype: DType,
-    dims: &[usize],
-    payload: &[u8],
-) -> Result<Vec<u8>> {
+/// Run one request on a worker's stack. The input is the `Data` the reader
+/// filled; a decompress output is allocated once, here, under the request's
+/// token (checked, charged, fallible), and the guard decodes into it.
+fn execute(handle: &mut CompressorHandle, kind: FrameKind, body: StreamedRequest) -> Result<Data> {
     match kind {
-        FrameKind::Compress => {
-            let expect = checked_geometry(dtype, dims)?;
-            if payload.len() != expect {
-                return Err(Error::invalid_argument(format!(
-                    "payload is {} bytes, geometry needs {expect}",
-                    payload.len()
-                )));
-            }
-            let mut input = Data::owned(dtype, dims.to_vec());
-            input.as_bytes_mut().copy_from_slice(payload);
-            handle.compress(&input).map(|d| d.as_bytes().to_vec())
-        }
+        FrameKind::Compress => handle.compress(&body.payload),
         FrameKind::Decompress => {
-            let stream = Data::from_bytes(payload);
-            let mut out = Data::owned(dtype, dims.to_vec());
-            handle
-                .decompress(&stream, &mut out)
-                .map(|()| out.as_bytes().to_vec())
+            let mut out = Data::alloc_output(body.dtype, body.dims)?;
+            handle.decompress(&body.payload, &mut out)?;
+            Ok(out)
         }
         _ => Err(Error::internal("non-request frame reached a worker")),
     }
@@ -1100,14 +1044,12 @@ fn process_request(
         serial,
         client_id,
         kind,
-        profile,
-        dtype,
-        dims,
-        payload,
+        body,
         conn,
         permit,
         enqueue_ns,
     } = request;
+    let profile = body.profile.clone();
 
     let (deadline_ms, budget_bytes) = shared
         .bounds
@@ -1131,42 +1073,33 @@ fn process_request(
         templates.get(&profile).cloned()
     });
 
-    let profile_label = profile.clone();
     let outcome = match armed {
         None => Err(Error::not_found(format!("no profile named {profile:?}"))),
-        Some(mut handle) => {
-            let dims_exec = dims.clone();
-            run_cancellable(&token, "serve:request", move || {
-                let _span = trace::span_labeled("serve:request", || profile_label.clone());
-                let r = execute(&mut handle, kind, dtype, &dims_exec, &payload);
-                (handle, r)
-            })
-            .map(|(handle, r)| {
-                handles.insert(profile.clone(), handle);
-                r
-            })
-            .and_then(|r| r)
-        }
+        Some(mut handle) => run_cancellable(&token, "serve:request", move || {
+            let _span = trace::span_labeled("serve:request", || body.profile.clone());
+            let r = execute(&mut handle, kind, body);
+            (handle, r)
+        })
+        .map(|(handle, r)| {
+            handles.insert(profile.clone(), handle);
+            r
+        })
+        .and_then(|r| r),
     };
 
     lock_ignore(&shared.active).remove(&serial);
 
-    let response = match outcome {
+    let outcome = outcome.and_then(|result| {
         // Never build a frame whose length field would truncate: a result
         // past the wire's u32 body limit becomes a structured error.
-        Ok(bytes) if bytes.len() > protocol::MAX_WIRE_BODY - 64 => Response::Error {
-            code: ErrorCode::Unsupported,
-            message: format!(
+        if result.size_in_bytes() > protocol::MAX_WIRE_BODY - 64 {
+            return Err(Error::unsupported(format!(
                 "result of {} bytes exceeds the wire frame limit",
-                bytes.len()
-            ),
-        },
-        Ok(bytes) => Response::Ok(bytes),
-        Err(e) => Response::Error {
-            code: e.code(),
-            message: e.to_string(),
-        },
-    };
+                result.size_in_bytes()
+            )));
+        }
+        Ok(result)
+    });
     let latency_ms =
         (trace::monotonic_ns().saturating_sub(enqueue_ns)) as f64 / 1_000_000.0;
     {
@@ -1174,17 +1107,26 @@ fn process_request(
         per_profile
             .entry(profile)
             .or_insert_with(ProfileStats::new)
-            .record(&response, latency_ms);
+            .record(outcome.as_ref().err().map(Error::code), latency_ms);
     }
     trace::count("serve:served", 1);
 
     #[cfg(feature = "chaos")]
     libpressio::core::chaos::service_point(&token);
 
-    let frame = encode_response(client_id, &response);
     // A give-up here poisons the connection (see bounded_send): the client
     // is never left alive-but-unanswered on a forfeited response.
-    let _ = bounded_send(shared, &conn, frame);
+    let _ = match outcome {
+        Ok(payload) => bounded_send(
+            shared,
+            &conn,
+            Outgoing::Result {
+                request_id: client_id,
+                payload,
+            },
+        ),
+        Err(e) => send_error(shared, &conn, client_id, e.code(), e.to_string()),
+    };
     drop(permit);
 }
 

@@ -116,6 +116,62 @@ fn unknown_profile_and_malformed_frames_are_structured() {
     assert_eq!(report.stuck_inflight, 0);
 }
 
+/// The 51-byte guard frame that used to abort the process: every field
+/// well-formed, a checksum anyone can compute, and a geometry echo claiming
+/// its four payload bytes decode to half a terabyte of f32.
+fn hostile_guard_frame(version: u16) -> Vec<u8> {
+    use libpressio::core::{xxh64, ByteWriter, Fnv1a64};
+    let (name, dim, payload) = ("noop", 1usize << 37, b"tiny");
+    let mut frame = ByteWriter::new();
+    frame.put_bytes(b"1DRG");
+    frame.put_u16(version);
+    frame.put_str(name);
+    frame.put_dtype(DType::F32);
+    frame.put_dims(&[dim]);
+    frame.put_section(payload);
+    let checksum = if version == 1 {
+        let mut h = Fnv1a64::new();
+        h.update(name.as_bytes());
+        h.update(&[DType::F32.tag()]);
+        h.update_u64(dim as u64);
+        h.update_u64(payload.len() as u64);
+        h.update(payload);
+        h.finish()
+    } else {
+        xxh64(frame.as_slice())
+    };
+    frame.put_u64(checksum);
+    assert_eq!(frame.len(), 51);
+    frame.into_vec()
+}
+
+#[test]
+fn hostile_guard_frame_is_refused_and_the_connection_serves_on() {
+    // Every profile is a guard stack, so this frame reaches the guard on
+    // any of them. The request declares a small output (well under the
+    // cap); the frame inside disagrees — and must lose, as a structured
+    // error, before anything is allocated for its claim.
+    let (server, addr) = start_tcp(ServeConfig::default());
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    for version in [1, 2] {
+        for profile in ["raw", "sz_abs_1e3"] {
+            let err = client
+                .decompress(profile, DType::F32, &[4], &hostile_guard_frame(version))
+                .expect_err("the hostile frame is refused");
+            assert_eq!(err.code(), libpressio::ErrorCode::InvalidArgument, "v{version} {profile}: {err}");
+            // Same connection, next request: answered.
+            assert!(matches!(
+                client.compress(profile, DType::F32, &[4], &f32_payload(4)),
+                Ok(ServeOutcome::Ok(_))
+            ));
+        }
+    }
+    let report = server.shutdown();
+    assert!(report.drained_clean, "{report:?}");
+    assert_eq!(report.stuck_inflight, 0);
+    assert_eq!(report.watchdog.0, report.watchdog.1, "{report:?}");
+}
+
 #[test]
 fn overload_burst_sheds_structurally_and_drains_clean() {
     let cfg = ServeConfig {
@@ -305,10 +361,15 @@ fn slow_reader_forfeits_responses_and_loses_the_connection() {
     let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
     // Pipeline several large requests and never read a byte: responses
     // stuff the kernel buffers and the bounded write buffer, the worker's
-    // patience runs out, and the connection is condemned.
-    let payload = f32_payload(256 * 1024);
+    // patience runs out, and the connection is condemned. Six requests are
+    // what two workers and their queue admit; at 4 MiB apiece the responses
+    // are several times what loopback socket buffers absorb (about 4 MiB
+    // here — at 1 MiB apiece the kernel sometimes took all six and nobody
+    // ever had to wait).
+    const ELEMENTS: usize = 1 << 20;
+    let payload = f32_payload(ELEMENTS);
     for id in 1..=6u64 {
-        let frame = encode_request(FrameKind::Compress, id, "raw", DType::F32, &[256 * 1024], &payload);
+        let frame = encode_request(FrameKind::Compress, id, "raw", DType::F32, &[ELEMENTS], &payload);
         if raw.write_all(&frame).is_err() {
             break; // already closed on us — that is the contract working
         }

@@ -64,7 +64,7 @@ const EXCLUDED: &[(&str, &str)] = &[
     ("sz_omp", "pooled variant of sz; stream format pinned against serial sz by tests/determinism.rs"),
     ("zfp_omp", "pooled variant of zfp; stream format pinned against serial zfp by tests/determinism.rs"),
     ("chunking", "meta wrapper; stream is child-format plus envelope, covered by tests/composition.rs"),
-    ("guard", "meta wrapper adding a policy envelope; covered by its own crate tests and the fuzz harness"),
+    ("guard", "meta wrapper adding a policy envelope; its frame is pinned below as guard_v1/guard_v2 over noop"),
     ("opt", "meta wrapper that searches child configurations; output depends on the search, not a fixed format"),
     ("pipeline", "meta wrapper; stream is the composed children's, covered by tests/composition.rs"),
     ("switch", "meta wrapper that delegates to a selected child"),
@@ -77,11 +77,11 @@ const EXCLUDED: &[(&str, &str)] = &[
     ("many_dependent", "synthetic multi-buffer demo plugin, not a stream format"),
 ];
 
-/// Extra pinned streams outside the per-plugin serial corpus: chunked
-/// container formats written and verified by their own tests below (they
+/// Extra pinned streams outside the per-plugin serial corpus: container and
+/// envelope formats written and verified by their own tests below (they
 /// have no manifest row — the formats are lossless, so there is no error
 /// to record).
-const EXTRA_GOLDEN: &[&str] = &["rans_nthreads2"];
+const EXTRA_GOLDEN: &[&str] = &["rans_nthreads2", "guard_v1", "guard_v2"];
 
 /// Value-range-relative bound applied to every plugin (lossless plugins
 /// ignore the foreign `pressio:` key).
@@ -309,6 +309,55 @@ fn golden_rans_chunked_stream_is_bit_identical() {
         .decompress(&Data::from_bytes(&golden), &mut out)
         .expect("chunked decode");
     assert_eq!(out.as_bytes(), raw.as_slice());
+}
+
+/// Pins the `guard` integrity frame in both versions, over the `noop`
+/// child on the corpus field. `guard_v2.bin` is what the guard writes: it
+/// must re-encode byte-identically. `guard_v1.bin` was written by the last
+/// commit whose guard wrote frame v1 (FNV-1a trailer) and is never
+/// regenerated: streams already on disk must keep decoding, to the same
+/// bytes, for as long as this file sits here. The two differ in the version
+/// field and the eight trailer bytes, nothing else.
+#[test]
+fn golden_guard_frames_pin_both_versions() {
+    let input = field();
+    let guard = || {
+        let mut c = libpressio::instance().get_compressor("guard").expect("guard");
+        c.set_options(&Options::new().with("guard:compressor", "noop"))
+            .expect("guard:compressor");
+        c
+    };
+    let stream = guard().compress(&input).expect("guard encode").as_bytes().to_vec();
+    let v2_path = golden_dir().join("guard_v2.bin");
+    if update_mode() {
+        fs::write(&v2_path, &stream).expect("write guard_v2.bin");
+        return;
+    }
+    let read = |path: &Path| {
+        fs::read(path).unwrap_or_else(|e| {
+            panic!("missing golden stream {}: {e}\n{REGEN_HINT}", path.display())
+        })
+    };
+    let v2 = read(&v2_path);
+    assert_eq!(
+        stream, v2,
+        "guard frame format changed: old archives may no longer decode.\n{REGEN_HINT}"
+    );
+    let v1 = read(&golden_dir().join("guard_v1.bin"));
+    assert_eq!((v1[4], v2[4]), (1, 2), "the frames' version fields");
+    let trailer = v2.len() - 8;
+    assert_eq!(v1.len(), v2.len());
+    assert_eq!(v1[6..trailer], v2[6..trailer], "same layout, same child stream");
+    assert_ne!(v1[trailer..], v2[trailer..], "FNV-1a and XXH64 trailers");
+    for (version, stream) in [("v1", &v1), ("v2", &v2)] {
+        // Sized and unsized outputs both: the frame's echo shapes the latter.
+        for mut out in [Data::owned(input.dtype(), input.dims().to_vec()), Data::empty(input.dtype())] {
+            guard()
+                .decompress(&Data::from_bytes(stream), &mut out)
+                .unwrap_or_else(|e| panic!("guard frame {version} no longer decodes: {e}"));
+            assert_eq!(out, input, "guard frame {version}");
+        }
+    }
 }
 
 /// The committed streams must still decode, to exactly the round-trip
