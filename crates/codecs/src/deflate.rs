@@ -6,7 +6,7 @@
 //! ([`compress_par`]); each chunk is a complete serial stream behind a chunk
 //! directory, and [`decompress`] reads both formats transparently.
 
-use pressio_core::{ByteReader, ByteWriter, Error, Result};
+use pressio_core::{chunked, ByteReader, Result};
 
 use crate::{huffman, lz77};
 
@@ -41,71 +41,25 @@ pub fn compress_par(data: &[u8], pieces: usize) -> Result<Vec<u8>> {
     // boundaries reset the LZ dictionary, so the ratio cost of a split is
     // paid back sooner than for the pure entropy coders.
     let ranges = pressio_core::plan_chunks_min(data.len(), 1, pieces, MIN_CHUNK_BYTES);
-    if ranges.len() <= 1 {
-        return compress(data);
-    }
-    let chunks = pressio_core::par_map_indexed(ranges.len(), |i| {
-        let _s = pressio_core::trace::span_labeled("deflate:compress_chunk", || format!("chunk {i}"));
-        compress(&data[ranges[i].clone()])
-    });
-    match chunks {
-        Ok(chunks) => {
-            let total: usize = chunks.iter().map(|c| c.len()).sum();
-            let mut w = ByteWriter::with_capacity(total + 8 + 8 * chunks.len());
-            w.put_u32(CHUNK_MAGIC);
-            w.put_u32(chunks.len() as u32);
-            for c in &chunks {
-                w.put_section(c);
-            }
-            Ok(w.into_vec())
-        }
-        // Cancellation must win over resilience: retrying serially after a
-        // deadline or budget trip would keep burning time the caller asked
-        // to reclaim.
-        Err(e) if matches!(
-            e.code(),
-            pressio_core::ErrorCode::Timeout | pressio_core::ErrorCode::Cancelled
-        ) => Err(e),
-        // A worker died (pool panic): the serial path still serves.
-        Err(_) => compress(data),
-    }
+    chunked::encode(
+        CHUNK_MAGIC,
+        "deflate:compress_chunk",
+        &ranges,
+        |range| compress(&data[range]),
+        || compress(data),
+    )
 }
 
 /// Inverse of [`compress`] / [`compress_par`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
-    if data.len() >= 4 && data[..4] == CHUNK_MAGIC.to_le_bytes() {
-        return decompress_chunked(data);
+    if !data.starts_with(&CHUNK_MAGIC.to_le_bytes()) {
+        return lz77::decompress(&huffman::decode_bytes(data)?);
     }
-    lz77::decompress(&huffman::decode_bytes(data)?)
-}
-
-fn decompress_chunked(data: &[u8]) -> Result<Vec<u8>> {
-    let mut r = ByteReader::new(data);
-    r.get_u32()?; // magic, already matched
-    let n_chunks = r.get_count()?;
-    if n_chunks == 0 {
-        return Err(Error::corrupt("chunked deflate stream with zero chunks"));
-    }
-    let mut sections: Vec<&[u8]> = Vec::new();
-    for _ in 0..n_chunks {
-        sections.push(r.get_section()?);
-    }
-    let decoded = pressio_core::par_map_indexed(sections.len(), |i| {
-        let _s = pressio_core::trace::span_labeled("deflate:decompress_chunk", || format!("chunk {i}"));
-        let s = sections[i];
-        if s.len() >= 4 && s[..4] == CHUNK_MAGIC.to_le_bytes() {
-            // A chunk must be a plain stream: unbounded nesting would let a
-            // crafted stream recurse arbitrarily deep.
-            return Err(Error::corrupt("nested chunked deflate stream"));
-        }
-        lz77::decompress(&huffman::decode_bytes(s)?)
-    })?;
-    let total: usize = decoded.iter().map(|d| d.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for d in decoded {
-        out.extend_from_slice(&d);
-    }
-    Ok(out)
+    let mut r = ByteReader::new(&data[4..]);
+    let sections = chunked::get_directory(&mut r, usize::MAX)?;
+    chunked::decode(&sections, CHUNK_MAGIC, "deflate:decompress_chunk", |_, section| {
+        lz77::decompress(&huffman::decode_bytes(section)?)
+    })
 }
 
 #[cfg(test)]
@@ -146,12 +100,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn par_small_input_falls_back_to_serial_format() {
-        let data = b"small enough to stay serial".repeat(10);
-        assert_eq!(compress_par(&data, 8).unwrap(), compress(&data).unwrap());
-    }
-
+    /// The codec's row of the container table (`pressio_core::chunked` has
+    /// the malformed-directory cases): wired to it with this magic.
     #[test]
     fn par_roundtrip_chunked() {
         let data: Vec<u8> = (0..3 * MIN_CHUNK_BYTES + 13)
@@ -161,20 +111,9 @@ mod tests {
             let c = compress_par(&data, pieces).unwrap();
             assert_eq!(&c[..4], &CHUNK_MAGIC.to_le_bytes());
             assert_eq!(decompress(&c).unwrap(), data, "pieces {pieces}");
+            assert!(decompress(&chunked::frame(CHUNK_MAGIC, &[c])).is_err(), "nested");
         }
-    }
-
-    #[test]
-    fn corrupt_chunked_streams_error_not_panic() {
-        let data: Vec<u8> = (0..2 * MIN_CHUNK_BYTES).map(|i| (i % 17) as u8).collect();
-        let c = compress_par(&data, 2).unwrap();
-        for cut in (0..c.len()).step_by(499) {
-            let _ = decompress(&c[..cut]);
-        }
-        for i in (0..c.len()).step_by(499) {
-            let mut bad = c.clone();
-            bad[i] ^= 0xFF;
-            let _ = decompress(&bad);
-        }
+        // Too small to split: the serial format, byte for byte.
+        assert_eq!(compress_par(&data[..270], 8).unwrap(), compress(&data[..270]).unwrap());
     }
 }

@@ -44,34 +44,8 @@ fn read_header<'a>(
             Error::corrupt(format!("stream was produced by codec id {id}")).in_plugin(plugin),
         );
     }
-    let dtype = r.get_dtype()?;
-    let dims = r.get_dims()?;
-    // Validate stream-declared geometry (overflow + size cap) before any
-    // size arithmetic or allocation downstream.
-    pressio_core::checked_geometry(dtype, &dims).map_err(|e| e.in_plugin(plugin))?;
+    let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin(plugin))?;
     Ok((dtype, dims, r))
-}
-
-/// Prepare `output` for decompressed payload: validate/reshape geometry.
-fn shape_output(output: &mut Data, dtype: DType, dims: &[usize], plugin: &str) -> Result<()> {
-    pressio_core::checked_geometry(dtype, dims).map_err(|e| e.in_plugin(plugin))?;
-    if output.dtype() != dtype {
-        return Err(Error::invalid_argument(format!(
-            "output dtype {} does not match stream dtype {}",
-            output.dtype(),
-            dtype
-        ))
-        .in_plugin(plugin));
-    }
-    if output.dims() != dims {
-        let n: usize = dims.iter().product();
-        if output.num_elements() == n {
-            output.reshape(dims.to_vec())?;
-        } else {
-            *output = Data::owned(dtype, dims.to_vec());
-        }
-    }
-    Ok(())
 }
 
 // ====================================================================== byte
@@ -260,7 +234,7 @@ impl Compressor for ByteCodec {
             ))
             .in_plugin(self.name()));
         }
-        shape_output(output, dtype, &dims, self.kind.name())?;
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin(self.name()))?;
         output.as_bytes_mut().copy_from_slice(&bytes);
         Ok(())
     }
@@ -385,7 +359,7 @@ impl Compressor for Blosc {
         if bytes.len() != n * dtype.size() {
             return Err(Error::corrupt("blosc payload size mismatch"));
         }
-        shape_output(output, dtype, &dims, "blosc")?;
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("blosc"))?;
         output.as_bytes_mut().copy_from_slice(&bytes);
         Ok(())
     }
@@ -448,29 +422,13 @@ impl Compressor for Fpzip {
     fn decompress(&mut self, compressed: &Data, output: &mut Data) -> Result<()> {
         let (dtype, dims, mut r) = read_header(compressed, FPZIP_ID, "fpzip")?;
         let payload = r.get_section()?;
-        shape_output(output, dtype, &dims, "fpzip")?;
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("fpzip"))?;
         match dtype {
-            DType::F32 => {
-                let vals = float::decompress_f32(payload)?;
-                if vals.len() != output.num_elements() {
-                    return Err(Error::corrupt("fpzip element count mismatch"));
-                }
-                output.as_mut_slice::<f32>()?.copy_from_slice(&vals);
-            }
-            DType::F64 => {
-                let vals = float::decompress_f64(payload)?;
-                if vals.len() != output.num_elements() {
-                    return Err(Error::corrupt("fpzip element count mismatch"));
-                }
-                output.as_mut_slice::<f64>()?.copy_from_slice(&vals);
-            }
-            other => {
-                return Err(Error::corrupt(format!(
-                    "fpzip stream claims non-float dtype {other}"
-                )))
-            }
+            DType::F32 => output.fill_from(&float::decompress_f32(payload)?),
+            DType::F64 => output.fill_from(&float::decompress_f64(payload)?),
+            other => Err(Error::corrupt(format!("fpzip stream claims non-float dtype {other}"))),
         }
-        Ok(())
+        .map_err(|e| e.in_plugin("fpzip"))
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {
@@ -575,7 +533,7 @@ impl Compressor for Delta {
         if bytes.len() != n * dtype.size() {
             return Err(Error::corrupt("delta payload size mismatch"));
         }
-        shape_output(output, dtype, &dims, "delta")?;
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("delta"))?;
         output.as_bytes_mut().copy_from_slice(&bytes);
         Ok(())
     }
@@ -715,7 +673,7 @@ impl Compressor for BitGrooming {
         if bytes.len() != n * dtype.size() {
             return Err(Error::corrupt("grooming payload size mismatch"));
         }
-        shape_output(output, dtype, &dims, self.plugin_name)?;
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin(self.plugin_name))?;
         output.as_bytes_mut().copy_from_slice(&bytes);
         Ok(())
     }
@@ -837,27 +795,15 @@ impl Compressor for LinearQuantizer {
         let delta = r.get_f64()?;
         let payload = r.get_section()?;
         let residuals = deflate::decompress(payload)?;
-        shape_output(output, dtype, &dims, "linear_quantizer")?;
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("linear_quantizer"))?;
         let n = output.num_elements();
         let mut pos = 0usize;
-        let mut codes = Vec::with_capacity(n);
+        let mut codes = Vec::new();
+        pressio_core::alloc::try_reserve(&mut codes, n)?;
         for _ in 0..n {
             codes.push(varint::unzigzag(varint::read_u64(&residuals, &mut pos)?));
         }
-        let values = quantize::dequantize(&codes, center, delta);
-        match dtype {
-            DType::F32 => {
-                let out = output.as_mut_slice::<f32>()?;
-                for (o, v) in out.iter_mut().zip(&values) {
-                    *o = *v as f32;
-                }
-            }
-            _ => {
-                let out = output.as_mut_slice::<f64>()?;
-                out.copy_from_slice(&values);
-            }
-        }
-        Ok(())
+        output.fill_from(&quantize::dequantize(&codes, center, delta))
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {

@@ -15,7 +15,7 @@
 //! behind a chunk directory, and [`decompress`] reads both formats
 //! transparently.
 
-use pressio_core::{ByteReader, ByteWriter, Error, Result};
+use pressio_core::{chunked, ByteReader, ByteWriter, Error, Result};
 
 use crate::varint;
 
@@ -180,81 +180,32 @@ pub fn compress(data: &[u8]) -> Result<Vec<u8>> {
 /// streams are machine-independent.
 pub fn compress_par(data: &[u8], pieces: usize) -> Result<Vec<u8>> {
     let ranges = pressio_core::plan_chunks(data.len(), 1, pieces);
-    if ranges.len() <= 1 {
-        return compress(data);
-    }
-    let chunks = pressio_core::par_map_indexed(ranges.len(), |i| {
-        let _s = pressio_core::trace::span_labeled("rans:compress_chunk", || format!("chunk {i}"));
-        compress(&data[ranges[i].clone()])
-    });
-    match chunks {
-        Ok(chunks) => {
-            let total: usize = chunks.iter().map(|c| c.len()).sum();
-            let mut w = ByteWriter::with_capacity(total + 8 + 8 * chunks.len());
-            w.put_u32(CHUNK_MAGIC);
-            w.put_u32(chunks.len() as u32);
-            for c in &chunks {
-                w.put_section(c);
-            }
-            Ok(w.into_vec())
-        }
-        // Cancellation must win over resilience: retrying serially after a
-        // deadline or budget trip would keep burning time the caller asked
-        // to reclaim.
-        Err(e) if matches!(
-            e.code(),
-            pressio_core::ErrorCode::Timeout | pressio_core::ErrorCode::Cancelled
-        ) => Err(e),
-        // A worker died (pool panic): the serial path still serves.
-        Err(_) => compress(data),
-    }
+    chunked::encode(
+        CHUNK_MAGIC,
+        "rans:compress_chunk",
+        &ranges,
+        |range| compress(&data[range]),
+        || compress(data),
+    )
 }
 
 /// Inverse of [`compress`] / [`compress_par`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
-    if data.len() >= 4 && data[..4] == CHUNK_MAGIC.to_le_bytes() {
-        return decompress_chunked(data);
-    }
     let mut r = ByteReader::new(data);
-    let magic = r.get_u32()?;
-    if magic != SERIAL_MAGIC {
-        return Err(Error::corrupt("bad rans stream magic"));
-    }
-    decompress_serial(r)
-}
-
-fn decompress_chunked(data: &[u8]) -> Result<Vec<u8>> {
-    let mut r = ByteReader::new(data);
-    r.get_u32()?; // magic, already matched
-    let n_chunks = r.get_count()?;
-    if n_chunks == 0 {
-        return Err(Error::corrupt("chunked rans stream with zero chunks"));
-    }
-    let mut sections: Vec<&[u8]> = Vec::new();
-    for _ in 0..n_chunks {
-        sections.push(r.get_section()?);
-    }
-    let decoded = pressio_core::par_map_indexed(sections.len(), |i| {
-        let _s = pressio_core::trace::span_labeled("rans:decompress_chunk", || format!("chunk {i}"));
-        let s = sections[i];
-        if s.len() >= 4 && s[..4] == CHUNK_MAGIC.to_le_bytes() {
-            // A chunk must be a plain stream: unbounded nesting would let a
-            // crafted stream recurse arbitrarily deep.
-            return Err(Error::corrupt("nested chunked rans stream"));
+    match r.get_u32()? {
+        SERIAL_MAGIC => decompress_serial(r),
+        CHUNK_MAGIC => {
+            let sections = chunked::get_directory(&mut r, usize::MAX)?;
+            chunked::decode(&sections, CHUNK_MAGIC, "rans:decompress_chunk", |_, section| {
+                let mut cr = ByteReader::new(section);
+                if cr.get_u32()? != SERIAL_MAGIC {
+                    return Err(Error::corrupt("bad rans chunk magic"));
+                }
+                decompress_serial(cr)
+            })
         }
-        let mut cr = ByteReader::new(s);
-        let magic = cr.get_u32()?;
-        if magic != SERIAL_MAGIC {
-            return Err(Error::corrupt("bad rans chunk magic"));
-        }
-        decompress_serial(cr)
-    })?;
-    let total: usize = decoded.iter().map(|d| d.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for d in decoded {
-        out.extend_from_slice(&d);
+        _ => Err(Error::corrupt("bad rans stream magic")),
     }
-    Ok(out)
 }
 
 /// Parse and validate the frequency header: returns `(n, freqs)` where
@@ -326,7 +277,8 @@ fn read_freq_header(header: &[u8]) -> Result<(usize, [u32; 256])> {
 /// sub-2e-3-bit-per-symbol rounding slack of integer-division rANS, so an
 /// honest stream can never trip this. When one symbol holds (nearly) the
 /// whole scale the bound degenerates to zero bits and the check is moot;
-/// the cooperative memory budget (`cancel::charge`) remains the backstop.
+/// the output is then reserved through `alloc::try_reserve`, so the memory
+/// budget and a fallible allocation remain the backstop.
 fn check_declared_count(n: usize, payload_len: usize, freqs: &[u32; 256]) -> Result<()> {
     let max_f = freqs.iter().copied().fold(0u32, u32::max);
     let ceil_log2 = 32 - max_f.leading_zeros() - u32::from(max_f.is_power_of_two());
@@ -387,8 +339,8 @@ fn decompress_serial(mut r: ByteReader<'_>) -> Result<Vec<u8>> {
     let payload = r.get_section()?;
     check_declared_count(n, payload.len(), &freqs)?;
     let table = FreqTable::from_freqs(freqs);
-    pressio_core::cancel::charge(n as u64)?;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::new();
+    pressio_core::alloc::try_reserve(&mut out, n)?;
     // The decode LUT cycles through the worker's arena like the Huffman
     // decoder's: taken, sized, used, handed back cleared.
     let mut lut = pressio_core::with_scratch(|s| std::mem::take(&mut s.u32s));
@@ -659,12 +611,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn par_small_input_falls_back_to_serial_format() {
-        let data = b"small enough to stay serial".repeat(20);
-        assert_eq!(compress_par(&data, 8).unwrap(), compress(&data).unwrap());
-    }
-
+    /// The codec's row of the container table (`pressio_core::chunked` has
+    /// the malformed-directory cases): wired to it with this magic.
     #[test]
     fn par_roundtrip_chunked() {
         let data: Vec<u8> = (0..3 * pressio_core::MIN_CHUNK_BYTES + 13)
@@ -674,33 +622,10 @@ mod tests {
             let c = compress_par(&data, pieces).unwrap();
             assert_eq!(&c[..4], &CHUNK_MAGIC.to_le_bytes());
             assert_eq!(decompress(&c).unwrap(), data, "pieces {pieces}");
+            assert!(decompress(&chunked::frame(CHUNK_MAGIC, &[c])).is_err(), "nested");
         }
-    }
-
-    #[test]
-    fn nested_chunk_streams_rejected() {
-        let data: Vec<u8> = (0..2 * pressio_core::MIN_CHUNK_BYTES).map(|i| (i % 5) as u8).collect();
-        let inner = compress_par(&data, 2).unwrap();
-        assert_eq!(&inner[..4], &CHUNK_MAGIC.to_le_bytes());
-        let mut w = ByteWriter::new();
-        w.put_u32(CHUNK_MAGIC);
-        w.put_u32(1);
-        w.put_section(&inner);
-        assert!(decompress(&w.into_vec()).is_err());
-    }
-
-    #[test]
-    fn corrupt_chunked_streams_error_not_panic() {
-        let data: Vec<u8> = (0..2 * pressio_core::MIN_CHUNK_BYTES).map(|i| (i % 17) as u8).collect();
-        let c = compress_par(&data, 2).unwrap();
-        for cut in (0..c.len()).step_by(499) {
-            let _ = decompress(&c[..cut]);
-        }
-        for i in (0..c.len()).step_by(499) {
-            let mut bad = c.clone();
-            bad[i] ^= 0xFF;
-            let _ = decompress(&bad);
-        }
+        // Too small to split: the serial format, byte for byte.
+        assert_eq!(compress_par(&data[..540], 8).unwrap(), compress(&data[..540]).unwrap());
     }
 
     #[test]

@@ -5,10 +5,17 @@
 //! always correctly aligned, and so that SIMD-friendly 64-byte (cache line)
 //! alignment is guaranteed for hot compression kernels. This replaces the
 //! `malloc`-based buffers of the C library.
+//!
+//! [`try_reserve`] and [`try_zeroed_vec`] are the allocators for *staging* a
+//! decoder sizes from its stream: charged to the ambient memory budget, then
+//! allocated fallibly, so a declared count never reaches `handle_alloc_error`.
 
 use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
+
+use crate::dtype::Element;
+use crate::error::{Error, ErrorCode, Result};
 
 /// Alignment (bytes) of every [`AlignedVec`] allocation: one x86 cache line.
 pub const BUFFER_ALIGN: usize = 64;
@@ -169,6 +176,41 @@ impl AlignedVec {
     }
 }
 
+fn refused(bytes: usize) -> Error {
+    Error::new(ErrorCode::Cancelled, format!("the host refused a {bytes}-byte staging allocation"))
+}
+
+/// Room for `additional` more elements in `v` (fresh or a recycled scratch
+/// buffer), for a count a stream declared: the request is charged to the
+/// ambient [`CancelToken`](crate::CancelToken), and a reservation the host
+/// refuses is [`Cancelled`](ErrorCode::Cancelled), never an abort.
+pub fn try_reserve<T>(v: &mut Vec<T>, additional: usize) -> Result<()> {
+    let bytes = additional.saturating_mul(std::mem::size_of::<T>());
+    crate::cancel::charge(bytes as u64)?;
+    v.try_reserve(additional).map_err(|_| refused(bytes))
+}
+
+/// `vec![0; n]` for a stream-derived `n`: charged and fallible like
+/// [`try_reserve`], and still one zero-page allocation nobody writes twice.
+pub fn try_zeroed_vec<T: Element>(n: usize) -> Result<Vec<T>> {
+    let bytes = n.saturating_mul(std::mem::size_of::<T>());
+    crate::cancel::charge(bytes as u64)?;
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let layout = Layout::array::<T>(n).map_err(|_| refused(bytes))?;
+    // SAFETY: layout has non-zero size (n > 0, no `Element` is zero-sized).
+    let raw = unsafe { alloc_zeroed(layout) };
+    if raw.is_null() {
+        return Err(refused(bytes));
+    }
+    // SAFETY: `raw` came from the global allocator with the layout of
+    // `[T; n]`, which is what `Vec<T>` frees a capacity of `n` with; all `n`
+    // elements are initialised, because `Element` types are plain numbers
+    // whose all-zero pattern is a value (zero).
+    Ok(unsafe { Vec::from_raw_parts(raw.cast::<T>(), n, n) })
+}
+
 impl Drop for AlignedVec {
     fn drop(&mut self) {
         if self.cap != 0 {
@@ -248,6 +290,29 @@ mod tests {
         // valid and the allocator says no. Neither may abort.
         assert!(AlignedVec::try_zeroed(usize::MAX).is_none());
         assert!(AlignedVec::try_zeroed(isize::MAX as usize - 63).is_none());
+    }
+
+    #[test]
+    fn staging_is_charged_zeroed_and_never_aborts() {
+        let cancelled = |e: Error| e.code() == ErrorCode::Cancelled;
+        let mut v: Vec<u32> = vec![7];
+        try_reserve(&mut v, 100).unwrap();
+        assert!(v.capacity() >= 101 && v == [7]);
+        let z: Vec<f64> = try_zeroed_vec(1000).unwrap();
+        assert!(z.capacity() == 1000 && z == [0.0; 1000]);
+        assert!(try_zeroed_vec::<i64>(0).unwrap().is_empty());
+        // Half a terabyte is an error (or untouched pages where the host
+        // overcommits); more than an address space always is.
+        assert!(try_zeroed_vec::<f64>(1 << 36).map_or_else(cancelled, |z| z.len() == 1 << 36));
+        assert!(try_zeroed_vec::<f64>(usize::MAX / 4).is_err_and(cancelled));
+        assert!(try_reserve(&mut v, usize::MAX / 2).is_err_and(cancelled));
+        // Under a budget the charge refuses first, whatever the host would do.
+        let token = crate::CancelToken::new();
+        token.set_memory_budget(1 << 10);
+        crate::cancel::with_token(&token, || {
+            assert!(try_zeroed_vec::<u8>(1 << 20).is_err_and(cancelled));
+            assert!(try_reserve(&mut v, 1 << 20).is_err_and(cancelled));
+        });
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! Sizes that come from outside the program (a stream header, a peer's
 //! request) go through [`Data::alloc_output`]: geometry check, memory-budget
 //! charge, and an allocation that fails with an error instead of aborting.
+//! A decoder reaches it through [`Data::shape_to`] and writes its result with
+//! [`Data::fill_from`]; nothing outside this crate replaces an output buffer.
 
 use std::sync::Arc;
 
@@ -191,6 +193,32 @@ impl Data {
         Ok(())
     }
 
+    /// Make this buffer — a decoder's `output` — hold the `dims` x `dtype`
+    /// its stream declared. One that already holds that many elements is
+    /// reshaped in place; any other is replaced through
+    /// [`alloc_output`](Self::alloc_output): checked, charged, fallible.
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidArgument`](ErrorCode::InvalidArgument) when the caller's
+    /// buffer has another element type; otherwise as `alloc_output`.
+    pub fn shape_to(&mut self, dtype: DType, dims: &[usize]) -> Result<()> {
+        if self.dtype != dtype {
+            return Err(Error::invalid_argument(format!(
+                "output dtype {} does not match stream dtype {dtype}",
+                self.dtype
+            )));
+        }
+        if self.dims != dims {
+            if crate::wire::checked_geometry(dtype, dims)? == self.storage.len() {
+                self.dims = dims.to_vec();
+            } else {
+                *self = Data::alloc_output(dtype, dims)?;
+            }
+        }
+        Ok(())
+    }
+
     // --------------------------------------------------------------- access
 
     /// The raw bytes of the buffer.
@@ -254,6 +282,31 @@ impl Data {
         Ok(())
     }
 
+    /// Overwrite every element with `values`, converted to this buffer's
+    /// element type (a kernel's `f64` staging narrowed into an `f32` output;
+    /// a plain copy when the types agree). A count that is not one value per
+    /// element is [`CorruptStream`](ErrorCode::CorruptStream): the values
+    /// were decoded from a stream that declared this geometry.
+    pub fn fill_from<T: Element>(&mut self, values: &[T]) -> Result<()> {
+        if values.len() != self.num_elements() {
+            return Err(Error::corrupt(format!(
+                "decoded {} values for a geometry of {} elements",
+                values.len(),
+                self.num_elements()
+            )));
+        }
+        if T::DTYPE == self.dtype {
+            self.as_bytes_mut().copy_from_slice(crate::wire::elements_as_bytes(values));
+            return Ok(());
+        }
+        crate::dispatch_dtype!(self.dtype, U => {
+            for (o, v) in self.as_mut_slice::<U>()?.iter_mut().zip(values) {
+                *o = U::from_f64(v.to_f64());
+            }
+        });
+        Ok(())
+    }
+
     /// Copy out as a typed vector.
     pub fn to_vec<T: Element>(&self) -> Result<Vec<T>> {
         Ok(self.as_slice::<T>()?.to_vec())
@@ -292,6 +345,12 @@ impl Data {
         crate::dispatch_dtype!(self.dtype, T => {
             Ok(self.as_slice::<T>()?.iter().map(|v| v.to_f64()).collect())
         })
+    }
+}
+
+impl AsRef<[u8]> for Data {
+    fn as_ref(&self) -> &[u8] {
+        self.as_bytes()
     }
 }
 
@@ -397,6 +456,35 @@ mod tests {
             Err(e) => assert_eq!(e.code(), ErrorCode::Cancelled),
             Ok(d) => assert_eq!(d.size_in_bytes(), 1 << 39),
         }
+    }
+
+    #[test]
+    fn shape_to_reshapes_reallocates_or_refuses() {
+        let mut out = Data::owned(DType::F32, vec![24]);
+        let held = out.as_bytes().as_ptr();
+        out.shape_to(DType::F32, &[2, 3, 4]).unwrap();
+        assert_eq!((out.dims(), out.as_bytes().as_ptr()), (&[2usize, 3, 4][..], held));
+        out.shape_to(DType::F32, &[5, 5]).unwrap();
+        assert_eq!((out.dims(), out.size_in_bytes()), (&[5usize, 5][..], 100));
+        let code = |r: Result<()>| r.unwrap_err().code();
+        assert_eq!(code(out.shape_to(DType::F64, &[5, 5])), ErrorCode::InvalidArgument);
+        assert_eq!(out.dims(), &[5, 5], "a refused output is left as it was");
+        // An implausible or over-budget shape is refused, not attempted.
+        assert_eq!(code(out.shape_to(DType::F32, &[1 << 39])), ErrorCode::CorruptStream);
+        let token = crate::CancelToken::new();
+        token.set_memory_budget(1 << 10);
+        let over = crate::cancel::with_token(&token, || out.shape_to(DType::F32, &[1 << 20]));
+        assert_eq!(code(over), ErrorCode::Cancelled);
+    }
+
+    #[test]
+    fn fill_from_copies_or_converts_and_counts() {
+        let mut out = Data::owned(DType::F32, vec![3]);
+        out.fill_from(&[1.5f64, -2.0, 1e-50]).unwrap();
+        assert_eq!(out.as_slice::<f32>().unwrap(), &[1.5, -2.0, 0.0]);
+        out.fill_from(&[4.0f32, 5.0, 6.0]).unwrap();
+        assert_eq!(out.as_slice::<f32>().unwrap(), &[4.0, 5.0, 6.0]);
+        assert_eq!(out.fill_from(&[1.0f64; 2]).unwrap_err().code(), ErrorCode::CorruptStream);
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod cancel;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod checksum;
+pub mod chunked;
 pub mod common;
 pub mod compressor;
 pub mod data;

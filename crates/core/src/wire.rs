@@ -7,6 +7,12 @@
 //! [`ErrorCode::CorruptStream`](crate::ErrorCode::CorruptStream) instead of
 //! panics — which is what makes the fault-injection meta-compressor and the
 //! fuzzing example safe to run.
+//!
+//! A decoder turns wire bytes into sizes through four operations and no
+//! others: [`ByteReader::get_geometry`], [`Data::shape_to`](crate::Data::shape_to),
+//! [`chunked`](crate::chunked) and [`alloc::try_reserve`](crate::alloc::try_reserve)
+//! / [`try_zeroed_vec`](crate::alloc::try_zeroed_vec). It holds no unchecked
+//! geometry and reserves for no declared count.
 
 use crate::dtype::DType;
 use crate::error::{Error, Result};
@@ -247,6 +253,21 @@ impl<'a> ByteReader<'a> {
         Ok(dims)
     }
 
+    /// Read a header's `dtype · dims`, already through [`checked_geometry`]:
+    /// how a plugin reads a geometry it may then size from.
+    pub fn get_geometry(&mut self) -> Result<(DType, Vec<usize>)> {
+        let dtype = self.get_dtype()?;
+        Ok((dtype, self.get_dims_of(dtype)?))
+    }
+
+    /// [`get_geometry`](Self::get_geometry) for a header that records only
+    /// the dims; the element type is the caller's.
+    pub fn get_dims_of(&mut self, dtype: DType) -> Result<Vec<usize>> {
+        let dims = self.get_dims()?;
+        checked_geometry(dtype, &dims)?;
+        Ok(dims)
+    }
+
     /// The rest of the buffer, consuming it.
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
@@ -376,6 +397,20 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_dims().unwrap(), vec![100, 500, 500]);
         assert_eq!(r.get_dtype().unwrap(), DType::F32);
+    }
+
+    #[test]
+    fn geometry_is_checked_as_it_is_read() {
+        let mut w = ByteWriter::new();
+        w.put_dtype(DType::F32);
+        w.put_dims(&[3, 5]);
+        w.put_dims(&[1 << 39]);
+        let bytes = w.into_vec();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_geometry().unwrap(), (DType::F32, vec![3, 5]));
+        // 2^39 bytes pass the decode cap, 2^39 doubles do not.
+        assert_eq!(r.clone().get_dims_of(DType::U8).unwrap(), vec![1 << 39]);
+        assert!(r.get_dims_of(DType::F64).is_err());
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl BpReader {
                 if geometry_bytes != payload.len() {
                     return Err(Error::corrupt("bplite record size mismatch"));
                 }
-                let mut out = Data::owned(dtype, dims);
+                let mut out = Data::alloc_output(dtype, dims)?;
                 out.as_bytes_mut().copy_from_slice(payload);
                 out
             };

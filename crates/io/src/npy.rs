@@ -116,7 +116,7 @@ pub fn from_npy_bytes(bytes: &[u8]) -> Result<Data> {
             payload.len(),
         )));
     }
-    let mut out = Data::owned(dtype, dims);
+    let mut out = Data::alloc_output(dtype, dims)?;
     out.as_bytes_mut().copy_from_slice(&payload[..nbytes]);
     Ok(out)
 }

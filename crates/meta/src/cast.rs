@@ -119,14 +119,14 @@ impl Compressor for Cast {
         let child_name = r.get_str()?.to_string();
         let orig_dtype = r.get_dtype()?;
         let staged_dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        pressio_core::checked_geometry(orig_dtype, &dims).map_err(|e| e.in_plugin("cast"))?;
+        let dims = r.get_dims_of(orig_dtype).map_err(|e| e.in_plugin("cast"))?;
         let inner = r.get_section()?;
         if child_name != self.child_name {
             self.child = resolve_child(&child_name).map_err(|e| e.in_plugin("cast"))?;
             self.child_name = child_name;
         }
-        let mut staged = Data::owned(staged_dtype, dims.clone());
+        let mut staged =
+            Data::alloc_output(staged_dtype, dims).map_err(|e| e.in_plugin("cast"))?;
         self.child.decompress(&Data::from_bytes(inner), &mut staged)?;
         let restored = if staged.dtype() == orig_dtype {
             staged

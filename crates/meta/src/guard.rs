@@ -398,10 +398,8 @@ fn unframe(bytes: &[u8]) -> Result<Frame<'_>> {
         )));
     }
     let served_by = r.get_str()?;
-    let dtype = r.get_dtype()?;
-    let dims = r.get_dims()?;
     // The echo must describe a plausible buffer.
-    pressio_core::checked_geometry(dtype, &dims)?;
+    let (dtype, dims) = r.get_geometry()?;
     let payload = r.get_section()?;
     let covered = r.position();
     let declared = r.get_u64()?;
@@ -1217,11 +1215,9 @@ mod tests {
         }
         fn decompress(&mut self, compressed: &Data, output: &mut Data) -> Result<()> {
             let mut r = ByteReader::new(compressed.as_bytes());
-            let dtype = r.get_dtype()?;
-            let dims = r.get_dims()?;
-            let n = pressio_core::checked_geometry(dtype, &dims)?;
-            let bytes = r.get_bytes(n)?;
-            *output = Data::owned(dtype, dims);
+            let (dtype, dims) = r.get_geometry()?;
+            let bytes = r.get_bytes(pressio_core::checked_geometry(dtype, &dims)?)?;
+            output.shape_to(dtype, &dims)?;
             output.as_bytes_mut().copy_from_slice(bytes);
             Ok(())
         }

@@ -12,7 +12,7 @@
 //! staged behind its own uncontended `Mutex` (locked by exactly one task).
 
 use pressio_core::{
-    ByteReader, ByteWriter, Compressor, Data, Error, Options, Result, ThreadSafety, Version,
+    chunked, ByteReader, ByteWriter, Compressor, Data, Error, Options, Result, ThreadSafety, Version,
 };
 
 use crate::util::{default_child, resolve_child};
@@ -175,10 +175,7 @@ impl Compressor for Chunking {
         w.put_str(&self.child_name);
         w.put_dtype(dtype);
         w.put_dims(input.dims());
-        w.put_u32(chunks.len() as u32);
-        for r in &results {
-            w.put_section(r.as_bytes());
-        }
+        chunked::put_directory(&mut w, &results);
         Ok(Data::from_bytes(&w.into_vec()))
     }
 
@@ -188,31 +185,20 @@ impl Compressor for Chunking {
             return Err(Error::corrupt("bad chunking magic").in_plugin("chunking"));
         }
         let child_name = r.get_str()?.to_string();
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        pressio_core::checked_geometry(dtype, &dims).map_err(|e| e.in_plugin("chunking"))?;
-        let n_chunks = r.get_count()?;
+        let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin("chunking"))?;
+        // At most one chunk per row of the slowest dimension.
+        let slow = dims.first().copied().unwrap_or(1).max(1);
+        let sections =
+            chunked::get_directory(&mut r, slow).map_err(|e| e.in_plugin("chunking"))?;
+        let n_chunks = sections.len();
         if child_name != self.child_name {
             self.child = resolve_child(&child_name).map_err(|e| e.in_plugin("chunking"))?;
             self.child_name = child_name;
         }
-        let slow = dims.first().copied().unwrap_or(1).max(1);
-        if n_chunks == 0 || n_chunks > slow {
-            return Err(Error::corrupt("chunk count out of range").in_plugin("chunking"));
-        }
-        let mut sections = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            sections.push(r.get_section()?);
-        }
         let row: usize = dims.iter().skip(1).product::<usize>().max(1);
         let base = slow / n_chunks;
         let extra = slow % n_chunks;
-        let n: usize = dims.iter().product();
-        if output.dtype() != dtype || output.num_elements() != n {
-            *output = Data::owned(dtype, dims.clone());
-        } else if output.dims() != dims {
-            output.reshape(dims.clone())?;
-        }
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("chunking"))?;
         let elem = dtype.size();
         let chunk_results: Vec<Data> = if self.parallel_allowed() && n_chunks > 1 {
             // As in compress: chunk dims ride in the task's mutex.
@@ -227,7 +213,7 @@ impl Compressor for Chunking {
             pressio_core::par_map_indexed(sections.len(), |wi| {
                 let mut guard = workers[wi].lock();
                 let (worker, cdims) = &mut *guard;
-                let mut staged = Data::owned(dtype, std::mem::take(cdims));
+                let mut staged = Data::alloc_output(dtype, std::mem::take(cdims))?;
                 worker.decompress(&Data::from_bytes(sections[wi]), &mut staged)?;
                 Ok(staged)
             })?
@@ -240,7 +226,7 @@ impl Compressor for Chunking {
                     let rows = base + usize::from(wi < extra);
                     let mut cdims = vec![rows];
                     cdims.extend_from_slice(&dims[1.min(dims.len())..]);
-                    let mut staged = Data::owned(dtype, cdims);
+                    let mut staged = Data::alloc_output(dtype, cdims)?;
                     self.child.decompress(&Data::from_bytes(sec), &mut staged)?;
                     Ok(staged)
                 })

@@ -129,15 +129,15 @@ impl Compressor for Transpose {
             return Err(Error::corrupt("bad transpose magic").in_plugin("transpose"));
         }
         let child_name = r.get_str()?.to_string();
-        let orig_dims = r.get_dims()?;
-        pressio_core::checked_geometry(output.dtype(), &orig_dims)
-            .map_err(|e| e.in_plugin("transpose"))?;
-        let axes = r.get_dims()?;
-        // The axes list came off the wire: it must be a permutation of the
-        // recorded dims' axes before anything indexes with it.
+        let orig_dims = r.get_dims_of(output.dtype()).map_err(|e| e.in_plugin("transpose"))?;
+        // The axes list came off the wire, framed like a dims list: it must
+        // be a permutation of the recorded dims' axes before anything
+        // indexes with it.
         let nd = orig_dims.len();
+        let n_axes = r.get_count()?;
+        let axes = (0..n_axes.min(nd)).map(|_| r.get_len()).collect::<Result<Vec<usize>>>()?;
         let mut seen = vec![false; nd];
-        let valid = axes.len() == nd
+        let valid = n_axes == nd
             && axes.iter().all(|&a| a < nd && !std::mem::replace(&mut seen[a], true));
         if !valid {
             return Err(Error::corrupt(format!(
@@ -151,7 +151,8 @@ impl Compressor for Transpose {
             self.child_name = child_name;
         }
         let tdims: Vec<usize> = axes.iter().map(|&a| orig_dims[a]).collect();
-        let mut staged = Data::owned(output.dtype(), tdims.clone());
+        let mut staged = Data::alloc_output(output.dtype(), tdims.clone())
+            .map_err(|e| e.in_plugin("transpose"))?;
         self.child.decompress(&Data::from_bytes(inner), &mut staged)?;
         // A corrupt child stream can carry its own geometry and resize the
         // staged buffer; the transposed shape is dictated by this envelope.
@@ -170,13 +171,7 @@ impl Compressor for Transpose {
             staged.dtype().size(),
         )
         .map_err(|e| e.in_plugin("transpose"))?;
-        if output.num_elements() != bdims.iter().product::<usize>()
-            || output.dtype() != staged.dtype()
-        {
-            *output = Data::owned(staged.dtype(), bdims);
-        } else if output.dims() != orig_dims {
-            output.reshape(orig_dims)?;
-        }
+        output.shape_to(staged.dtype(), &bdims).map_err(|e| e.in_plugin("transpose"))?;
         output.as_bytes_mut().copy_from_slice(&bytes);
         Ok(())
     }
@@ -296,9 +291,7 @@ impl Compressor for Resize {
             return Err(Error::corrupt("bad resize magic").in_plugin("resize"));
         }
         let child_name = r.get_str()?.to_string();
-        let orig_dims = r.get_dims()?;
-        pressio_core::checked_geometry(output.dtype(), &orig_dims)
-            .map_err(|e| e.in_plugin("resize"))?;
+        let orig_dims = r.get_dims_of(output.dtype()).map_err(|e| e.in_plugin("resize"))?;
         let inner = r.get_section()?;
         if child_name != self.child_name {
             self.child = resolve_child(&child_name).map_err(|e| e.in_plugin("resize"))?;
@@ -428,9 +421,7 @@ impl Compressor for Sample {
             return Err(Error::corrupt("bad sample magic").in_plugin("sample"));
         }
         let child_name = r.get_str()?.to_string();
-        let orig_dims = r.get_dims()?;
-        pressio_core::checked_geometry(output.dtype(), &orig_dims)
-            .map_err(|e| e.in_plugin("sample"))?;
+        let orig_dims = r.get_dims_of(output.dtype()).map_err(|e| e.in_plugin("sample"))?;
         let rate = r.get_len()?;
         if rate == 0 {
             return Err(Error::corrupt("sample stream carries zero rate"));
@@ -442,13 +433,10 @@ impl Compressor for Sample {
         }
         let n: usize = orig_dims.iter().product();
         let n_kept = n.div_ceil(rate);
-        let mut staged = Data::owned(output.dtype(), vec![n_kept]);
+        let mut staged = Data::alloc_output(output.dtype(), vec![n_kept])
+            .map_err(|e| e.in_plugin("sample"))?;
         self.child.decompress(&Data::from_bytes(inner), &mut staged)?;
-        if output.dtype() != staged.dtype() || output.num_elements() != n {
-            *output = Data::owned(staged.dtype(), orig_dims.clone());
-        } else if output.dims() != orig_dims {
-            output.reshape(orig_dims)?;
-        }
+        output.shape_to(staged.dtype(), &orig_dims).map_err(|e| e.in_plugin("sample"))?;
         let elem = staged.dtype().size();
         let src = staged.as_bytes().to_vec();
         let dst = output.as_bytes_mut();

@@ -54,11 +54,9 @@ impl Compressor for InertChild {
 
     fn decompress(&mut self, compressed: &Data, output: &mut Data) -> Result<()> {
         let mut r = ByteReader::new(compressed.as_bytes());
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        let n = checked_geometry(dtype, &dims)?;
-        let bytes = r.get_bytes(n)?;
-        *output = Data::owned(dtype, dims);
+        let (dtype, dims) = r.get_geometry()?;
+        let bytes = r.get_bytes(checked_geometry(dtype, &dims)?)?;
+        output.shape_to(dtype, &dims)?;
         output.as_bytes_mut().copy_from_slice(bytes);
         Ok(())
     }
@@ -186,6 +184,17 @@ mod tests {
         assert!(transpose_bytes(&vals, &[2, 3], &[0], 1).is_err());
         assert!(transpose_bytes(&vals, &[2, 3], &[0, 0], 1).is_err());
         assert!(transpose_bytes(&vals, &[2, 3], &[0, 2], 1).is_err());
+    }
+
+    #[test]
+    fn inert_child_fills_a_correctly_sized_output_in_place() {
+        let input = Data::from_slice(&[1.0f32, 2.0, 3.0, 4.0], vec![2, 2]).unwrap();
+        let stream = InertChild.compress(&input).unwrap();
+        let mut out = Data::owned(pressio_core::DType::F32, vec![4]);
+        let held = out.as_bytes().as_ptr();
+        InertChild.decompress(&stream, &mut out).unwrap();
+        assert_eq!(out, input);
+        assert_eq!(out.as_bytes().as_ptr(), held, "reshaped, not reallocated");
     }
 
     #[test]

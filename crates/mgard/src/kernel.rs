@@ -306,7 +306,8 @@ pub fn decompress_body(body: &[u8], dims: &[usize]) -> Result<Vec<f64>> {
 
     // Decode the code stream up-front, in the writer's order.
     let mut pos = 0usize;
-    let mut decoded: Vec<i64> = Vec::with_capacity(n_codes as usize);
+    let mut decoded: Vec<i64> = Vec::new();
+    pressio_core::alloc::try_reserve(&mut decoded, n_codes as usize)?;
     for _ in 0..n_codes {
         decoded.push(varint::unzigzag(varint::read_u64(&codes, &mut pos)?));
     }
@@ -316,7 +317,7 @@ pub fn decompress_body(body: &[u8], dims: &[usize]) -> Result<Vec<f64>> {
         .collect();
 
     let n = h.nz * h.ny * h.nx;
-    let mut out = vec![0.0f64; n];
+    let mut out = pressio_core::alloc::try_zeroed_vec::<f64>(n)?;
 
     // The writer emitted: details of level 0, 1, ..., L-1, then base. Split
     // the decoded stream accordingly by re-walking the same traversals.

@@ -139,34 +139,11 @@ impl Compressor for Mgard {
         if r.get_u32()? != MAGIC {
             return Err(Error::corrupt("bad mgard envelope magic").in_plugin("mgard"));
         }
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        pressio_core::checked_geometry(dtype, &dims).map_err(|e| e.in_plugin("mgard"))?;
+        let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin("mgard"))?;
         let body = r.get_section()?;
         let values = decompress_body(body, &dims).map_err(|e| e.in_plugin("mgard"))?;
-        if output.dtype() != dtype {
-            return Err(Error::invalid_argument(format!(
-                "output dtype {} does not match stream dtype {dtype}",
-                output.dtype()
-            ))
-            .in_plugin("mgard"));
-        }
-        let n: usize = dims.iter().product();
-        if output.num_elements() != n {
-            *output = Data::owned(dtype, dims.clone());
-        } else if output.dims() != dims {
-            output.reshape(dims.clone())?;
-        }
-        match dtype {
-            DType::F32 => {
-                let out = output.as_mut_slice::<f32>()?;
-                for (o, v) in out.iter_mut().zip(&values) {
-                    *o = *v as f32;
-                }
-            }
-            _ => output.as_mut_slice::<f64>()?.copy_from_slice(&values),
-        }
-        Ok(())
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("mgard"))?;
+        output.fill_from(&values)
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {

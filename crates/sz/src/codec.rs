@@ -245,18 +245,18 @@ fn predict_quantize<T: SzFloat>(data: &[T], dims: &[usize], p: &SzParams) -> Res
     let two_eb = 2.0 * eb;
     let radius = p.radius as i64;
     // The stage's dominant buffers: codes (u32 per element) and the
-    // reconstruction shadow (one T per element).
-    pressio_core::cancel::charge((n * (4 + std::mem::size_of::<T>())) as u64)?;
-    // Both cycle through the worker's arena: `compress_body` hands the codes
-    // back after entropy coding; the shadow goes back right below. An early
-    // cancellation drops them, which only costs the capacity.
+    // reconstruction shadow (one T per element), both charged to the memory
+    // budget. Both cycle through the worker's arena: `compress_body` hands
+    // the codes back after entropy coding; the shadow goes back right below.
+    // An early cancellation drops them, which only costs the capacity.
     let mut codes = pressio_core::with_scratch(|s| std::mem::take(&mut s.u32s));
     codes.clear();
-    codes.reserve(n);
+    pressio_core::alloc::try_reserve(&mut codes, n)?;
     let mut unpredictable = Vec::new();
     // Reconstructed values drive prediction: decompressor state == here.
     let mut recon = pressio_core::with_scratch(T::take_scratch);
     recon.clear();
+    pressio_core::alloc::try_reserve(&mut recon, n)?;
     recon.resize(n, T::from_f64x(0.0));
     let mut cp = pressio_core::cancel::Checkpointer::new(1);
 
@@ -418,10 +418,9 @@ fn predict_reconstruct<T: SzFloat>(
     }
     let two_eb = 2.0 * p.abs_eb;
     let radius = p.radius as i64;
-    pressio_core::cancel::charge((n * std::mem::size_of::<T>()) as u64)?;
     // The reconstruction is the caller's output, so it cannot come from the
     // arena; it is allocated exactly once.
-    let mut recon = vec![T::from_f64x(0.0); n];
+    let mut recon = pressio_core::alloc::try_zeroed_vec::<T>(n)?;
     let mut next_unpred = 0usize;
     let mut cp = pressio_core::cancel::Checkpointer::new(1);
     let plane = ny * nx;

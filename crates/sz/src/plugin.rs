@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use pressio_core::{
-    registry, require_dtype, ByteReader, ByteWriter, Compressor, DType, Data, Error, ErrorBound,
+    chunked, registry, require_dtype, ByteReader, ByteWriter, Compressor, DType, Data, Error, ErrorBound,
     OptionKind, OptionValue, Options, Result, ThreadSafety, Version,
 };
 
@@ -233,17 +233,33 @@ impl Sz {
                 d
             })
             .collect();
-        let chunks = pressio_core::par_map_indexed(workers, |w| {
-            let _s = pressio_core::trace::span_labeled("sz:decompress_chunk", || format!("chunk {w}"));
-            decompress_body::<T>(bodies[w], &cdims[w])
-        })?;
-        // Don't pre-reserve `slow * row` here: those factors are wire-derived
-        // and any chunk error above must surface before a large reservation.
-        let mut all = Vec::new();
-        for chunk in chunks {
-            all.extend(chunk);
+        chunked::decode(bodies, MAGIC, "sz:decompress_chunk", |w, body| {
+            decompress_body::<T>(body, &cdims[w])
+        })
+    }
+
+    /// Hand decoded `vals` to the caller. Runs only once the payload has
+    /// decoded, and sizes the output only then: `dims` came off the wire,
+    /// and on a corrupt stream a huge declared geometry must fail against
+    /// the (small) decoded body, not commit a multi-gigabyte zeroed
+    /// allocation first.
+    fn write_output<T: pressio_core::Element>(
+        &self,
+        output: &mut Data,
+        dtype: DType,
+        dims: &[usize],
+        vals: &[T],
+    ) -> Result<()> {
+        let n: usize = dims.iter().product();
+        if vals.len() != n {
+            return Err(Error::corrupt(format!(
+                "sz stream decoded {} elements for geometry of {n}",
+                vals.len()
+            ))
+            .in_plugin(self.prefix()));
         }
-        Ok(all)
+        output.shape_to(dtype, dims).map_err(|e| e.in_plugin(self.prefix()))?;
+        output.fill_from(vals)
     }
 
     fn prefix(&self) -> &'static str {
@@ -528,10 +544,7 @@ impl Compressor for Sz {
                 _ => me.compress_typed(input.as_slice::<f64>()?, input.dims(), eb)?,
             }
         };
-        w.put_u32(bodies.len() as u32);
-        for b in &bodies {
-            w.put_section(b);
-        }
+        chunked::put_directory(&mut w, &bodies);
         Ok(Data::from_bytes(&w.into_vec()))
     }
 
@@ -545,18 +558,15 @@ impl Compressor for Sz {
         if r.get_u32()? != MAGIC {
             return Err(Error::corrupt("bad sz envelope magic").in_plugin(self.prefix()));
         }
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        pressio_core::checked_geometry(dtype, &dims)
-            .map_err(|e| e.in_plugin(self.prefix()))?;
+        let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin(self.prefix()))?;
         let mode_tag = r.get_u8()?;
         let pw_rel = match mode_tag {
             0 => None,
             1 => {
-                let floor = r.get_f64()?;
+                r.get_f64()?; // the floor: recorded, not needed to invert
                 let signs = pressio_codecs::deflate::decompress(r.get_section()?)?;
                 let exceptions = pressio_codecs::deflate::decompress(r.get_section()?)?;
-                Some((floor, signs, exceptions))
+                Some((signs, exceptions))
             }
             other => {
                 return Err(
@@ -564,64 +574,23 @@ impl Compressor for Sz {
                 )
             }
         };
-        let n_bodies = r.get_count()?;
-        if n_bodies == 0 || n_bodies > dims.first().copied().unwrap_or(1).max(1) {
-            return Err(Error::corrupt("sz chunk count out of range").in_plugin(self.prefix()));
-        }
-        let mut bodies = Vec::with_capacity(n_bodies);
-        for _ in 0..n_bodies {
-            bodies.push(r.get_section()?);
-        }
-        if output.dtype() != dtype {
-            return Err(Error::invalid_argument(format!(
-                "output dtype {} does not match stream dtype {dtype}",
-                output.dtype()
-            ))
-            .in_plugin(self.prefix()));
-        }
-        let n: usize = dims.iter().product();
-        // Decode the payload *before* sizing the output buffer: `dims` came
-        // off the wire, and on a corrupt stream a huge declared geometry must
-        // fail against the (small) decoded body, not commit a multi-gigabyte
-        // zeroed allocation first.
-        enum Decoded {
-            F32(Vec<f32>),
-            F64(Vec<f64>),
-        }
-        let vals = if let Some((_floor, signs, exceptions)) = pw_rel {
-            let logs: Vec<f64> = me.decompress_typed(&bodies, &dims)?;
-            let vals = pw_rel_inverse(&logs, &signs, &exceptions)
-                .map_err(|e| e.in_plugin(self.prefix()))?;
-            match dtype {
-                DType::F32 => Decoded::F32(vals.iter().map(|&v| v as f32).collect()),
-                _ => Decoded::F64(vals),
+        // At most one body per row of the slowest dimension.
+        let bodies = chunked::get_directory(&mut r, dims.first().copied().unwrap_or(1).max(1))
+            .map_err(|e| e.in_plugin(self.prefix()))?;
+        match (pw_rel, dtype) {
+            (Some((signs, exceptions)), _) => {
+                let logs: Vec<f64> = me.decompress_typed(&bodies, &dims)?;
+                let vals = pw_rel_inverse(&logs, &signs, &exceptions)
+                    .map_err(|e| e.in_plugin(self.prefix()))?;
+                self.write_output(output, dtype, &dims, &vals)
             }
-        } else {
-            match dtype {
-                DType::F32 => Decoded::F32(me.decompress_typed(&bodies, &dims)?),
-                _ => Decoded::F64(me.decompress_typed(&bodies, &dims)?),
+            (None, DType::F32) => {
+                self.write_output(output, dtype, &dims, &me.decompress_typed::<f32>(&bodies, &dims)?)
             }
-        };
-        let decoded_len = match &vals {
-            Decoded::F32(v) => v.len(),
-            Decoded::F64(v) => v.len(),
-        };
-        if decoded_len != n {
-            return Err(Error::corrupt(format!(
-                "sz stream decoded {decoded_len} elements for geometry of {n}"
-            ))
-            .in_plugin(self.prefix()));
+            (None, _) => {
+                self.write_output(output, dtype, &dims, &me.decompress_typed::<f64>(&bodies, &dims)?)
+            }
         }
-        if output.num_elements() != n {
-            *output = Data::owned(dtype, dims.clone());
-        } else if output.dims() != dims {
-            output.reshape(dims.clone())?;
-        }
-        match vals {
-            Decoded::F32(v) => output.as_mut_slice::<f32>()?.copy_from_slice(&v),
-            Decoded::F64(v) => output.as_mut_slice::<f64>()?.copy_from_slice(&v),
-        }
-        Ok(())
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {

@@ -351,7 +351,7 @@ pub fn decompress_body<T: InterpFloat>(body: &[u8], dims: &[usize]) -> Result<Ve
     }
     let two_eb = 2.0 * eb;
     let radius_i = radius as i64;
-    let mut recon = vec![T::from_f64x(0.0); n];
+    let mut recon = pressio_core::alloc::try_zeroed_vec::<T>(n)?;
     let mut next_code = 0usize;
     let mut next_unpred = 0usize;
     let mut err: Option<Error> = None;

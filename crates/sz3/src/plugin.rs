@@ -163,36 +163,14 @@ impl Compressor for SzInterp {
         if r.get_u32()? != MAGIC {
             return Err(Error::corrupt("bad sz_interp envelope magic").in_plugin("sz_interp"));
         }
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        pressio_core::checked_geometry(dtype, &dims).map_err(|e| e.in_plugin("sz_interp"))?;
+        let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin("sz_interp"))?;
         let body = r.get_section()?;
-        if output.dtype() != dtype {
-            return Err(Error::invalid_argument(format!(
-                "output dtype {} does not match stream dtype {dtype}",
-                output.dtype()
-            ))
-            .in_plugin("sz_interp"));
-        }
-        let n: usize = dims.iter().product();
-        if output.num_elements() != n {
-            *output = Data::owned(dtype, dims.clone());
-        } else if output.dims() != dims {
-            output.reshape(dims.clone())?;
-        }
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("sz_interp"))?;
         match dtype {
-            DType::F32 => {
-                let vals: Vec<f32> =
-                    decompress_body(body, &dims).map_err(|e| e.in_plugin("sz_interp"))?;
-                output.as_mut_slice::<f32>()?.copy_from_slice(&vals);
-            }
-            _ => {
-                let vals: Vec<f64> =
-                    decompress_body(body, &dims).map_err(|e| e.in_plugin("sz_interp"))?;
-                output.as_mut_slice::<f64>()?.copy_from_slice(&vals);
-            }
+            DType::F32 => output.fill_from(&decompress_body::<f32>(body, &dims)?),
+            _ => output.fill_from(&decompress_body::<f64>(body, &dims)?),
         }
-        Ok(())
+        .map_err(|e| e.in_plugin("sz_interp"))
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {

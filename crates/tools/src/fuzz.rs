@@ -27,6 +27,12 @@
 //! output so the frame alone decides what is allocated. A resealed frame
 //! may be accepted; it may not panic, hang, or abort on an allocation.
 //!
+//! Byte-level damage also rarely gets past a decoder's first magic. The
+//! *hostile seeds* ([`libpressio::hostile`]) do: well-formed streams whose
+//! headers declare sizes nothing backs, each an abort of the process when it
+//! was found. Every seed is decoded as-is first — it must be rejected — and
+//! then mutated like any other clean stream.
+//!
 //! Determinism: the whole sweep derives from one `--seed`, with each
 //! (plugin, mode, case) triple hashed to its own RNG stream, so a failure
 //! report is reproducible bit for bit.
@@ -189,6 +195,8 @@ struct Target {
     /// Recompute the guard frame's checksum after every mutation and decode
     /// into an empty output (see the module docs).
     resealed: bool,
+    /// Element type of the empty output a hostile seed decodes into.
+    seed_dtype: Option<DType>,
 }
 
 /// Make a damaged guard frame pass its checksum again: frame v2's trailer
@@ -217,6 +225,7 @@ fn stacked_targets() -> Vec<Target> {
                     .with("guard:timeout_ms", 2_000u64),
             ),
             resealed: false,
+            seed_dtype: None,
         },
         Target {
             label: "guard>many_independent>zfp".to_string(),
@@ -228,6 +237,7 @@ fn stacked_targets() -> Vec<Target> {
                     .with("guard:timeout_ms", 2_000u64),
             ),
             resealed: false,
+            seed_dtype: None,
         },
         // Behind a valid checksum: `noop` accepts any payload of the right
         // size, so the frame's geometry echo is all that stands between a
@@ -237,12 +247,14 @@ fn stacked_targets() -> Vec<Target> {
             name: "guard".to_string(),
             stack: Some(guard_over("noop")),
             resealed: true,
+            seed_dtype: None,
         },
         Target {
             label: "guard>sz[resealed]".to_string(),
             name: "guard".to_string(),
             stack: Some(guard_over("sz")),
             resealed: true,
+            seed_dtype: None,
         },
         // The registry walk already fuzzes `sz` with its default deflate
         // tail and the standalone `rans` codec; this target covers the
@@ -254,6 +266,7 @@ fn stacked_targets() -> Vec<Target> {
             name: "sz".to_string(),
             stack: Some(Options::new().with("sz:lossless", "rans")),
             resealed: false,
+            seed_dtype: None,
         },
     ]
 }
@@ -281,7 +294,9 @@ fn armed_handle(
 
 /// Decode one damaged stream on a watchdog worker, catching panics.
 fn decode_case(target: &Target, mutated: Vec<u8>, timeout_ms: u64) -> CaseOutcome {
-    let sized = !target.resealed;
+    // A resealed frame and a hostile seed decode into an empty output: the
+    // stream alone decides what is allocated.
+    let empty = target.seed_dtype.or(target.resealed.then_some(DType::F32));
     let handle = match armed_handle(&target.name, target.stack.as_ref()) {
         Ok(h) => h,
         // The compressor armed moments ago; losing the registry entry
@@ -299,10 +314,9 @@ fn decode_case(target: &Target, mutated: Vec<u8>, timeout_ms: u64) -> CaseOutcom
         }
         let mut handle = handle;
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let mut out = if sized {
-                Data::owned(DType::F32, vec![16usize, 16, 16])
-            } else {
-                Data::empty(DType::F32)
+            let mut out = match empty {
+                Some(dtype) => Data::empty(dtype),
+                None => Data::owned(DType::F32, vec![16usize, 16, 16]),
             };
             handle.decompress(&Data::from_bytes(&mutated), &mut out)
         }));
@@ -329,6 +343,7 @@ pub fn fuzz_compressor(name: &str, cfg: &FuzzConfig, report: &mut FuzzReport) {
             name: name.to_string(),
             stack: None,
             resealed: false,
+            seed_dtype: None,
         },
         cfg,
         report,
@@ -372,6 +387,33 @@ fn fuzz_target(target: &Target, cfg: &FuzzConfig, report: &mut FuzzReport) {
         }
     };
 
+    sweep(target, &clean, cfg, report);
+}
+
+/// Decode a hostile seed as-is — anything but a structured rejection fails
+/// (an abort takes the sweep down with it) — then sweep it like a clean stream.
+fn fuzz_seed(seed: libpressio::hostile::HostileStream, cfg: &FuzzConfig, report: &mut FuzzReport) {
+    let target = Target {
+        label: format!("{}[{}]", seed.plugin, seed.name),
+        name: seed.plugin.to_string(),
+        stack: None,
+        resealed: false,
+        seed_dtype: Some(seed.dtype),
+    };
+    if !matches!(decode_case(&target, seed.bytes.clone(), cfg.timeout_ms), CaseOutcome::Rejected) {
+        report.failures.push(FuzzFailure {
+            plugin: target.label.clone(),
+            mode: "none",
+            case: 0,
+            detail: "hostile seed was not rejected with a structured error".to_string(),
+        });
+    }
+    sweep(&target, &seed.bytes, cfg, report);
+}
+
+/// Mutate `clean` in every mode and decode each damaged copy.
+fn sweep(target: &Target, clean: &[u8], cfg: &FuzzConfig, report: &mut FuzzReport) {
+    let name = target.label.as_str();
     report.compressors += 1;
     // The guard's integrity frame must reject every byte-level change —
     // whether it wraps a codec directly or a whole meta stack; for
@@ -382,7 +424,7 @@ fn fuzz_target(target: &Target, cfg: &FuzzConfig, report: &mut FuzzReport) {
         for case in 0..cfg.iterations {
             let mut rng = case_rng(cfg.seed, name, mode, case);
             let intensity = rng.gen_range(1..48u32);
-            let mut mutated = mutate_stream(&clean, mode, intensity, &mut rng);
+            let mut mutated = mutate_stream(clean, mode, intensity, &mut rng);
             if target.resealed {
                 reseal(&mut mutated);
             }
@@ -437,6 +479,9 @@ pub fn fuzz_all(cfg: &FuzzConfig) -> FuzzReport {
             }
             for target in stacked_targets() {
                 fuzz_target(&target, cfg, &mut report);
+            }
+            for seed in libpressio::hostile::streams().expect("no token is installed") {
+                fuzz_seed(seed, cfg, &mut report);
             }
         }
     }

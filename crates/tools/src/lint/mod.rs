@@ -187,13 +187,21 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         RULE_TAINT_ALLOC => {
             "taint-alloc: a value read from an untrusted compressed stream (get_len, \
              get_count, get_dims, get_u16/u32/u64, from_le_bytes, read_u16/u32/u64) must \
-             not size an allocation (Vec::with_capacity, vec![x; n], .reserve, .resize) \
-             until a bounds check dominates it. The fuzz harness found exactly this in \
-             the sz decoder: a corrupt header drove a 34 GB allocation before any \
-             validation ran. Sanitize by binding through checked_geometry / \
-             bytes_to_elements / .min(..) / .clamp(..) / try_into, or guard with an \
-             `if <len> > <bound> { return Err(..) }` before the allocation. The analysis \
-             is intraprocedural and token-ordered; waive a false positive with \
+             not size an allocation (Vec::with_capacity, vec![x; n], .reserve, .resize, \
+             Data::owned(dtype, dims)) until a bounds check dominates it. The fuzz harness \
+             found exactly this in the sz decoder: a corrupt header drove a 34 GB \
+             allocation before any validation ran. Read a header's geometry with \
+             get_geometry / get_dims_of (clean: already through checked_geometry), shape \
+             an output with Data::shape_to / Data::alloc_output, read a chunk directory \
+             with pressio_core::chunked, and size staging with alloc::try_reserve / \
+             alloc::try_zeroed_vec — none of these is a sink. Otherwise sanitize by \
+             binding through checked_geometry / bytes_to_elements / .min(..) / .clamp(..) \
+             / try_into, or guard with `if <len> > <bound> { return Err(..) }` before the \
+             allocation, where <bound> is something the stream does not control: a \
+             comparison against another wire-derived value (`n > dims[0]`, with dims out \
+             of the same header, checked as a geometry or not) bounds nothing, and \
+             neither does `n == 0`. The analysis is intraprocedural and token-ordered; \
+             waive a false positive with \
              `taint-alloc <file> <line substring>  # why the bound holds` only when the \
              bound is established somewhere the analysis cannot see (another function)."
         }

@@ -3,7 +3,9 @@
 //! Values read from untrusted compressed streams — [`ByteReader::get_len`],
 //! `get_count`, `get_u16/u32/u64`, `get_dims`, `from_le_bytes`,
 //! `read_u16/u32/u64` — are *tainted*: a hostile stream controls them
-//! completely. The fuzz harness (PR 2) showed what happens when a tainted
+//! completely (`get_geometry` / `get_dims_of` are clean: what they return
+//! has been through `checked_geometry`). The fuzz harness (PR 2) showed what
+//! happens when a tainted
 //! value reaches an allocation before validation: the `sz` decoder briefly
 //! allocated 34 GB for a corrupt header's declared geometry. This pass turns
 //! that bug class into a compile-time (well, lint-time) guarantee:
@@ -26,9 +28,20 @@
 //!    `checked_mul` / `checked_add` / `checked_sub` / `checked_shl`,
 //!    `saturating_*`, or comparison against `MAX_DECODE_BYTES`;
 //! 2. a dominating guard statement: an `if`/`if let` whose condition
-//!    mentions the tainted name in a comparison and whose body exits
-//!    (`return` / `Err` / `break` / `continue`) — the `if n >
-//!    payload.len() * 8 { return Err(..) }` idiom.
+//!    compares the tainted name (`<`, `>`, `<=`, `>=`, `!=`; being unequal
+//!    to one value bounds nothing) against something the stream does not
+//!    control, and whose body exits (`return` / `Err` / `break` /
+//!    `continue`) — the `if n > payload.len() * 8 { return Err(..) }` idiom.
+//!    A comparison whose other side is itself wire-derived is no bound:
+//!    `if n == 0 || n > dims[0] { return Err(..) }` let four decoders
+//!    reserve for a count of four billion, `dims` being out of the same
+//!    header. Wire-derived is wider than tainted — a geometry that passed
+//!    `checked_geometry` may size the one buffer it describes, and still
+//!    bounds nothing else.
+//!
+//! `Data::owned(dtype, dims)` is a sink like `vec![..; n]`; `Data::alloc_output`,
+//! `alloc::try_reserve` and `alloc::try_zeroed_vec` (checked, charged,
+//! fallible) are not.
 //!
 //! The walk is token-order, which for the straight-line decode functions
 //! this rule targets coincides with domination; pathological control flow
@@ -56,6 +69,10 @@ const SOURCES: &[&str] = &[
     "read_u64",
 ];
 
+/// Wire reads whose results are checked as they are read: not tainted, but
+/// still wire-derived — no bound for another wire value.
+const CHECKED_SOURCES: &[&str] = &["get_geometry", "get_dims_of"];
+
 /// Idents that sanitize an expression they appear in (bounded conversion,
 /// checked arithmetic, explicit caps).
 const SANITIZERS: &[&str] = &[
@@ -73,8 +90,9 @@ const SANITIZERS: &[&str] = &[
     "size",
 ];
 
-/// Allocation sinks: `<recv>.NAME(len, ..)` or `Path::NAME(len)`.
-const ALLOC_SINKS: &[&str] = &["with_capacity", "reserve", "resize", "reserve_exact"];
+/// Allocation sinks: `<recv>.NAME(len, ..)` or `Path::NAME(len)` (`owned` is
+/// `Data::owned(dtype, dims)`).
+const ALLOC_SINKS: &[&str] = &["with_capacity", "reserve", "resize", "reserve_exact", "owned"];
 
 /// One raw taint finding: which rule, where, and why.
 #[derive(Debug)]
@@ -97,6 +115,7 @@ pub fn scan(nodes: &[Node], is_test_line: &dyn Fn(usize) -> bool) -> Vec<TaintFi
         }
         let mut st = State {
             tainted: HashSet::new(),
+            wire: HashSet::new(),
             findings: &mut findings,
         };
         st.scan_block(f.body);
@@ -110,6 +129,9 @@ pub fn scan(nodes: &[Node], is_test_line: &dyn Fn(usize) -> bool) -> Vec<TaintFi
 
 struct State<'a> {
     tainted: HashSet<String>,
+    /// Every name whose value came off the wire, sanitized or not: a
+    /// superset of `tainted` that guards and sanitizers do not shrink.
+    wire: HashSet<String>,
     findings: &'a mut Vec<TaintFinding>,
 }
 
@@ -133,6 +155,49 @@ impl State<'_> {
             false
         });
         found
+    }
+
+    /// Does this expression read anything the stream controls, checked or
+    /// not — `except` (a guard's own subject, which a field of the same name
+    /// may echo) aside? The length of a materialized container is memory the
+    /// process already owns, so an expression through `len` / `size` does not.
+    fn reads_wire(&self, nodes: &[Node], except: &str) -> bool {
+        let mut wire = false;
+        let mut owned = false;
+        walk_until(nodes, &mut |n| {
+            if let Some(t) = n.tok().filter(|t| t.kind == Kind::Ident) {
+                let name = t.text.as_str();
+                owned |= matches!(name, "len" | "size");
+                wire |= SOURCES.contains(&name)
+                    || CHECKED_SOURCES.contains(&name)
+                    || (name != except && self.wire.contains(name));
+            }
+            false
+        });
+        wire && !owned
+    }
+
+    /// The tainted names a guard condition bounds: those some `||` / `&&`
+    /// clause compares (`<`, `>`, `<=`, `>=`, `!=`) against a side that reads
+    /// nothing off the wire, or passes through a checked helper.
+    fn bounded_by(&self, cond: &[Node]) -> Vec<String> {
+        let mut bounded = Vec::new();
+        for clause in cond.split(|n| n.is_punct('|') || n.is_punct('&')) {
+            let sides = bounding_comparison(clause).map(|at| clause.split_at(at));
+            for name in &self.tainted {
+                let hit = match sides {
+                    Some((lhs, rhs)) => {
+                        (mentions_ident(lhs, name) && !self.reads_wire(rhs, name))
+                            || (mentions_ident(rhs, name) && !self.reads_wire(lhs, name))
+                    }
+                    None => mentions_ident(clause, name) && self.expr_sanitized(clause),
+                };
+                if hit {
+                    bounded.push(name.clone());
+                }
+            }
+        }
+        bounded
     }
 
     /// Does this expression contain a sanitizer?
@@ -189,7 +254,13 @@ impl State<'_> {
                     self.scan_expr(expr, statement_guarded(expr));
                     let names = Self::pattern_names(pat);
                     let dirty = self.expr_tainted(expr).is_some() && !self.expr_sanitized(expr);
+                    let wire = self.reads_wire(expr, "");
                     for name in names {
+                        if wire {
+                            self.wire.insert(name.clone());
+                        } else {
+                            self.wire.remove(&name);
+                        }
                         if dirty {
                             self.tainted.insert(name);
                         } else {
@@ -210,20 +281,14 @@ impl State<'_> {
                 if let Some(body_at) = body_at {
                     let cond = &nodes[i + 1..body_at];
                     let body = nodes[body_at].group('{').unwrap_or(&[]);
-                    let mentioned: Vec<String> = self
-                        .tainted
-                        .iter()
-                        .filter(|name| mentions_ident(cond, name))
-                        .cloned()
-                        .collect();
-                    let compares = has_comparison(cond) || self.expr_sanitized(cond);
+                    let bounded = self.bounded_by(cond);
                     // The guard body still gets scanned either way (it may
                     // allocate an error message — harmless — or do real
                     // work).
                     self.scan_expr(cond, statement_guarded(cond));
                     self.scan_block(body);
-                    if !mentioned.is_empty() && compares && block_exits(body) {
-                        for name in mentioned {
+                    if block_exits(body) {
+                        for name in bounded {
                             self.tainted.remove(&name);
                         }
                     }
@@ -402,6 +467,21 @@ fn has_comparison(nodes: &[Node]) -> bool {
     false
 }
 
+/// Index of the first comparison in `nodes` that can bound a value — `<`,
+/// `>`, `<=`, `>=`, `!=` — skipping shifts, arrows and `==` (being unequal to
+/// one value bounds nothing).
+fn bounding_comparison(nodes: &[Node]) -> Option<usize> {
+    nodes.iter().enumerate().position(|(i, n)| {
+        let next_is = |c| nodes.get(i + 1).is_some_and(|m: &Node| m.is_punct(c));
+        if n.is_punct('<') || n.is_punct('>') {
+            let prev_same = i > 0 && ['<', '>', '-'].iter().any(|&c| nodes[i - 1].is_punct(c));
+            !prev_same && !next_is('<') && !next_is('>')
+        } else {
+            n.is_punct('!') && next_is('=')
+        }
+    })
+}
+
 /// Is the op's statement guarded? True when the *enclosing statement slice*
 /// (up to the nearest `;` on both sides) carries a comparison or a checked
 /// helper — `if out.len() + n > expect` or `n.checked_mul(8)` shapes.
@@ -526,6 +606,38 @@ mod tests {
                      let mut out = Vec::with_capacity(n);\n\
                      Ok(())\n}\n");
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn a_wire_value_is_no_bound_for_another() {
+        // The count against a dimension out of the same header — checked as
+        // a geometry, read by `get_geometry`, or raw — or against zero alone:
+        // flagged. Against the bytes present (the shared container): clean.
+        let decoder = |dims: &str, guard: &str| {
+            run(&format!(
+                "fn d(r: &mut ByteReader, max: usize) -> Result<()> {{\n{dims}\n\
+                 let n = r.get_count()?;\n\
+                 if {guard} {{ return Err(Error::corrupt(\"count\")); }}\n\
+                 let bodies = Vec::with_capacity(n);\nOk(())\n}}\n"
+            ))
+            .len()
+        };
+        let by_dim = "n == 0 || n > dims.first().copied().unwrap_or(1).max(1)";
+        assert_eq!(decoder("let dims = r.get_dims()?;\nchecked_geometry(dtype, &dims)?;", by_dim), 1);
+        assert_eq!(decoder("let (dtype, dims) = r.get_geometry()?;", by_dim), 1);
+        assert_eq!(decoder("let dims = r.get_dims()?;", by_dim), 1);
+        assert_eq!(decoder("", "n == 0"), 1);
+        assert_eq!(decoder("", "n == 0 || n > max || n > r.remaining() / 8"), 0);
+    }
+
+    #[test]
+    fn data_owned_is_a_sink_and_get_geometry_a_clean_source() {
+        let shape = |body: &str| {
+            run(&format!("fn d(r: &mut ByteReader, output: &mut Data) {{\n{body}\n}}\n")).len()
+        };
+        assert_eq!(shape("let dims = r.get_dims()?;\n*output = Data::owned(dtype, dims);"), 1);
+        assert_eq!(shape("let dims = r.get_dims()?;\n*output = Data::alloc_output(dtype, dims)?;"), 0);
+        assert_eq!(shape("let (dtype, dims) = r.get_geometry()?;\nlet v = vec![0u8; dims[0]];"), 0);
     }
 
     #[test]

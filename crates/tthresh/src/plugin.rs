@@ -56,6 +56,11 @@ fn dequantize_vector(bytes: &[u8], pos: &mut usize, len: usize) -> Result<Vec<f6
         return Err(Error::corrupt("tthresh factor scale invalid"));
     }
     let step = max * FACTOR_QUANT;
+    // `len` is a stream-declared extent; every value costs at least one
+    // varint byte, so what remains of the payload bounds it exactly.
+    if len > bytes.len() - *pos {
+        return Err(Error::corrupt("tthresh factor longer than its payload"));
+    }
     let mut v = Vec::with_capacity(len);
     for _ in 0..len {
         let q = varint::unzigzag(varint::read_u64(bytes, pos)?);
@@ -190,9 +195,7 @@ impl Compressor for Tthresh {
         if r.get_u32()? != MAGIC {
             return Err(Error::corrupt("bad tthresh envelope magic").in_plugin("tthresh"));
         }
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        pressio_core::checked_geometry(dtype, &dims).map_err(|e| e.in_plugin("tthresh"))?;
+        let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin("tthresh"))?;
         let m = r.get_len()?;
         let n = r.get_len()?;
         let rank = r.get_count()?;
@@ -202,7 +205,7 @@ impl Compressor for Tthresh {
         }
         let payload = deflate::decompress(r.get_section()?)?;
         let mut pos = 0usize;
-        let mut triplets = Vec::with_capacity(rank);
+        let mut triplets = Vec::new();
         for _ in 0..rank {
             let Some(sigma) = payload.get(pos..).and_then(pressio_core::wire::f64_le) else {
                 return Err(Error::corrupt("tthresh sigma truncated"));
@@ -215,29 +218,9 @@ impl Compressor for Tthresh {
             let v = dequantize_vector(&payload, &mut pos, n)?;
             triplets.push(Triplet { sigma, u, v });
         }
-        let values = reconstruct(&triplets, m, n);
-        if output.dtype() != dtype {
-            return Err(Error::invalid_argument(format!(
-                "output dtype {} does not match stream dtype {dtype}",
-                output.dtype()
-            ))
-            .in_plugin("tthresh"));
-        }
-        if output.num_elements() != total {
-            *output = Data::owned(dtype, dims.clone());
-        } else if output.dims() != dims {
-            output.reshape(dims.clone())?;
-        }
-        match dtype {
-            DType::F32 => {
-                let out = output.as_mut_slice::<f32>()?;
-                for (o, v) in out.iter_mut().zip(&values) {
-                    *o = *v as f32;
-                }
-            }
-            _ => output.as_mut_slice::<f64>()?.copy_from_slice(&values),
-        }
-        Ok(())
+        let values = reconstruct(&triplets, m, n).map_err(|e| e.in_plugin("tthresh"))?;
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("tthresh"))?;
+        output.fill_from(&values)
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {

@@ -128,9 +128,11 @@ pub fn truncated_svd(
     (triplets, residual_energy.max(0.0).sqrt())
 }
 
-/// Reconstruct `U S Vᵀ` back into a row-major `m × n` matrix.
-pub fn reconstruct(triplets: &[Triplet], m: usize, n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; m * n];
+/// Reconstruct `U S Vᵀ` back into a row-major `m × n` matrix. `m × n` is a
+/// decoder's stream-declared geometry, so the matrix is charged to the memory
+/// budget and its allocation may be refused.
+pub fn reconstruct(triplets: &[Triplet], m: usize, n: usize) -> pressio_core::Result<Vec<f64>> {
+    let mut out = pressio_core::alloc::try_zeroed_vec::<f64>(m * n)?;
     for t in triplets {
         for i in 0..m {
             let ui = t.u[i] * t.sigma;
@@ -140,7 +142,7 @@ pub fn reconstruct(triplets: &[Triplet], m: usize, n: usize) -> Vec<f64> {
             }
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -170,7 +172,7 @@ mod tests {
         let (triplets, residual) = truncated_svd(&a, m, n, 1.0 - 1e-14, 10);
         assert!(triplets.len() <= rank + 1, "found {}", triplets.len());
         assert!(residual <= 1e-6 * frobenius(&a), "residual {residual}");
-        let back = reconstruct(&triplets, m, n);
+        let back = reconstruct(&triplets, m, n).unwrap();
         let err: f64 = a
             .iter()
             .zip(&back)

@@ -452,8 +452,7 @@ fn decode_range_blocks(
 ) -> Result<Vec<f64>> {
     pressio_core::with_scratch(|s| {
         let blocksize = g.blocksize();
-        pressio_core::cancel::charge((nblocks as u64).saturating_mul(blocksize as u64 * 8))?;
-        let mut vals = vec![0.0f64; nblocks * blocksize];
+        let mut vals = pressio_core::alloc::try_zeroed_vec::<f64>(nblocks * blocksize)?;
         let mut r = BitReader::new(payload);
         let mut cp = pressio_core::cancel::Checkpointer::new(256);
         for block in vals.chunks_mut(blocksize) {
@@ -462,19 +461,6 @@ fn decode_range_blocks(
         }
         Ok(vals)
     })
-}
-
-/// Charge the full output array against the ambient memory budget before
-/// allocating it: stream-declared geometry is attacker-controlled up to the
-/// wire-level decode cap, and a budgeted caller (the guard stacks, the fuzz
-/// harness) must see a clean error instead of an OOM abort.
-fn charge_output(g: &BlockGrid) -> Result<()> {
-    pressio_core::cancel::charge(
-        (g.nx as u64)
-            .saturating_mul(g.ny as u64)
-            .saturating_mul(g.nz as u64)
-            .saturating_mul(8),
-    )
 }
 
 fn validate_input(data: &[f64], fdims: &[usize], g: &BlockGrid) -> Result<()> {
@@ -542,8 +528,7 @@ pub fn decompress_f64_chunks(
         decode_range_blocks(chunks[i], &g, &p, ranges[i].len())
     })?;
     let blocksize = g.blocksize();
-    charge_output(&g)?;
-    let mut out = vec![0.0f64; g.nx * g.ny * g.nz];
+    let mut out = pressio_core::alloc::try_zeroed_vec::<f64>(g.nx * g.ny * g.nz)?;
     for (range, vals) in ranges.iter().zip(&decoded) {
         for (k, i) in range.clone().enumerate() {
             let (bx, by, bz) = g.origin(i);
@@ -566,8 +551,7 @@ pub fn decompress_f64(payload: &[u8], fdims: &[usize], mode: ZfpMode) -> Result<
     mode.validate()?;
     let g = BlockGrid::new(fdims)?;
     let p = resolve(mode, g.d);
-    charge_output(&g)?;
-    let mut out = vec![0.0f64; g.nx * g.ny * g.nz];
+    let mut out = pressio_core::alloc::try_zeroed_vec::<f64>(g.nx * g.ny * g.nz)?;
     let _s = pressio_core::trace::span("zfp:decode_stream");
     pressio_core::with_scratch(|s| {
         s.f64s.clear();

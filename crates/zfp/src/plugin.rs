@@ -282,21 +282,17 @@ impl Compressor for Zfp {
         if r.get_u32()? != MAGIC {
             return Err(Error::corrupt("bad zfp envelope magic").in_plugin(p));
         }
-        let dtype = r.get_dtype()?;
-        let dims = r.get_dims()?;
-        pressio_core::checked_geometry(dtype, &dims).map_err(|e| e.in_plugin(p))?;
+        let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin(p))?;
         let mode = ZfpMode::from_tag(r.get_u8()?, r.get_f64()?)?;
         mode.validate()
             .map_err(|_| Error::corrupt("zfp stream carries invalid mode parameters"))?;
         let fdims: Vec<usize> = dims.iter().rev().copied().collect();
         let nblocks = block_count(&fdims).map_err(|e| e.in_plugin(p))?;
-        let n_chunks = r.get_count()?;
-        if n_chunks == 0 || n_chunks > nblocks {
-            return Err(Error::corrupt(format!(
-                "zfp stream claims {n_chunks} chunks for {nblocks} blocks"
-            ))
-            .in_plugin(p));
-        }
+        // The shared container's count, bounded by the bytes present; the
+        // entries are this format's own (a bit length rides with each
+        // section), so the loop is too.
+        let n_chunks =
+            pressio_core::chunked::get_chunk_count(&mut r, nblocks).map_err(|e| e.in_plugin(p))?;
         let mut sections: Vec<&[u8]> = Vec::with_capacity(n_chunks);
         for _ in 0..n_chunks {
             let nbits = r.get_u64()?;
@@ -316,29 +312,8 @@ impl Compressor for Zfp {
             decompress_f64_chunks(&sections, &fdims, mode)
         }
         .map_err(|e| e.in_plugin(p))?;
-        if output.dtype() != dtype {
-            return Err(Error::invalid_argument(format!(
-                "output dtype {} does not match stream dtype {dtype}",
-                output.dtype()
-            ))
-            .in_plugin(p));
-        }
-        let n: usize = dims.iter().product();
-        if output.num_elements() != n {
-            *output = Data::owned(dtype, dims.clone());
-        } else if output.dims() != dims {
-            output.reshape(dims.clone())?;
-        }
-        match dtype {
-            DType::F32 => {
-                let out = output.as_mut_slice::<f32>()?;
-                for (o, v) in out.iter_mut().zip(&values) {
-                    *o = *v as f32;
-                }
-            }
-            _ => output.as_mut_slice::<f64>()?.copy_from_slice(&values),
-        }
-        Ok(())
+        output.shape_to(dtype, &dims).map_err(|e| e.in_plugin(p))?;
+        output.fill_from(&values)
     }
 
     fn clone_compressor(&self) -> Box<dyn Compressor> {

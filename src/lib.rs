@@ -56,6 +56,8 @@
 
 use std::sync::Once;
 
+pub mod hostile;
+
 pub use pressio_codecs as codecs;
 pub use pressio_core as core;
 pub use pressio_datagen as datagen;

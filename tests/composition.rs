@@ -41,6 +41,13 @@ fn deep_meta_composition_preserves_bound() {
     let mut out = Data::owned(input.dtype(), input.dims().to_vec());
     c.decompress(&compressed, &mut out).unwrap();
     assert!(max_err(&input, &out) <= 1e-3 * range * 1.001 + 1e-6);
+    // A sized output of another element type is the caller's mistake at
+    // every layer: `chunking` answers like the codecs under it instead of
+    // replacing the buffer it was handed.
+    let mut wrong = Data::owned(DType::F64, input.dims().to_vec());
+    let err = c.decompress(&compressed, &mut wrong).unwrap_err();
+    assert_eq!(err.code(), libpressio::ErrorCode::InvalidArgument, "{err}");
+    assert_eq!(wrong.dtype(), DType::F64);
 }
 
 #[test]

@@ -61,9 +61,9 @@ const GOLDEN: &[&str] = &[
 /// reason. Keep this honest: an entry here is a promise that some other
 /// test pins the plugin's behavior.
 const EXCLUDED: &[(&str, &str)] = &[
-    ("sz_omp", "pooled variant of sz; stream format pinned against serial sz by tests/determinism.rs"),
-    ("zfp_omp", "pooled variant of zfp; stream format pinned against serial zfp by tests/determinism.rs"),
-    ("chunking", "meta wrapper; stream is child-format plus envelope, covered by tests/composition.rs"),
+    ("sz_omp", "pooled variant of sz; its chunk directory is pinned below as sz_omp_chunks2, values against serial sz by tests/determinism.rs"),
+    ("zfp_omp", "pooled variant of zfp; its chunk directory is pinned below as zfp_omp_chunks2, values against serial zfp by tests/determinism.rs"),
+    ("chunking", "meta wrapper; its envelope is pinned below as chunking_sz_chunks2 over sz"),
     ("guard", "meta wrapper adding a policy envelope; its frame is pinned below as guard_v1/guard_v2 over noop"),
     ("opt", "meta wrapper that searches child configurations; output depends on the search, not a fixed format"),
     ("pipeline", "meta wrapper; stream is the composed children's, covered by tests/composition.rs"),
@@ -81,7 +81,16 @@ const EXCLUDED: &[(&str, &str)] = &[
 /// envelope formats written and verified by their own tests below (they
 /// have no manifest row — the formats are lossless, so there is no error
 /// to record).
-const EXTRA_GOLDEN: &[&str] = &["rans_nthreads2", "guard_v1", "guard_v2"];
+const EXTRA_GOLDEN: &[&str] = &[
+    "rans_nthreads2",
+    "huffman_nthreads2",
+    "deflate_nthreads2",
+    "sz_omp_chunks2",
+    "zfp_omp_chunks2",
+    "chunking_sz_chunks2",
+    "guard_v1",
+    "guard_v2",
+];
 
 /// Value-range-relative bound applied to every plugin (lossless plugins
 /// ignore the foreign `pressio:` key).
@@ -150,7 +159,7 @@ fn read_manifest() -> BTreeMap<String, (usize, f64)> {
     let mut out = BTreeMap::new();
     for line in text.lines() {
         let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+        if line.is_empty() || line.starts_with('#') || line.starts_with('+') {
             continue;
         }
         let mut it = line.split_whitespace();
@@ -213,6 +222,12 @@ fn golden_streams_are_bit_identical() {
             fs::write(dir.join(format!("{name}.bin")), &stream).expect(name);
             manifest.push_str(&format!("{name} {} {:?}\n", stream.len(), err));
         }
+        // The container rows were recorded by the commit that generated
+        // their streams and travel through a regeneration untouched.
+        let old = fs::read_to_string(dir.join("MANIFEST.txt")).unwrap_or_default();
+        if let Some(at) = old.find(CONTAINER_HEADER) {
+            manifest.push_str(&old[at..]);
+        }
         fs::write(dir.join("MANIFEST.txt"), manifest).expect("write manifest");
         return;
     }
@@ -264,51 +279,92 @@ fn golden_streams_are_bit_identical() {
     }
 }
 
-/// Pins the *chunked* rans container format: the stream `rans:nthreads=2`
-/// emits for the smallest input the adaptive chunk plan still splits in
-/// two (2 x 256 KiB). The serial `rans.bin` golden stream cannot cover
-/// this path — the letkf field is far below the chunking floor — and the
-/// chunk directory (magic, count, per-chunk sections) is a wire contract
-/// of its own. The input is deterministic and highly skewed so the
-/// committed stream stays a few KiB.
-#[test]
-fn golden_rans_chunked_stream_is_bit_identical() {
-    libpressio::init();
+/// First line of the container block of `MANIFEST.txt`; every row under it
+/// is `+name  byte_len  xxh64(decoded bytes)`.
+const CONTAINER_HEADER: &str = "# Chunked-container streams";
+
+/// 2 x 256 KiB of highly skewed bytes: the smallest input the adaptive
+/// chunk plan still splits in two, and one whose streams stay a few KiB.
+fn skewed_bytes() -> Data {
     let raw: Vec<u8> = (0..2 * libpressio::core::MIN_CHUNK_BYTES)
         .map(|i| if i % 113 == 0 { (i / 113 % 7 + 1) as u8 } else { 0 })
         .collect();
-    let input = Data::from_bytes(&raw);
-    let mut c = libpressio::instance().get_compressor("rans").expect("rans");
-    c.set_options(&Options::new().with("rans:nthreads", 2u32))
-        .expect("rans:nthreads");
-    let stream = c.compress(&input).expect("chunked encode").as_bytes().to_vec();
-    // The envelope must carry the chunked container, not the serial frame
-    // ("RNS1"): if this stops holding, the plan geometry changed and the
-    // pin below is no longer testing the chunk directory.
-    assert_ne!(&stream[..4], b"1SNR", "stream fell back to the serial frame");
+    Data::from_bytes(&raw)
+}
 
-    let path = golden_dir().join("rans_nthreads2.bin");
-    if update_mode() {
-        fs::write(&path, &stream).expect("write rans_nthreads2.bin");
-        return;
+/// A 64^3 `f32` field: 1 MiB, so the plan splits it for two threads at
+/// both `f32` and promoted-`f64` width.
+fn cube() -> Data {
+    libpressio::datagen::nyx_density(64, 77)
+}
+
+/// The chunked containers the serial corpus cannot reach (its field is far
+/// below the chunking floor): stream name, plugin, its options for a given
+/// thread count, the input.
+type Container = (&'static str, &'static str, fn(u32) -> Options, fn() -> Data);
+const CONTAINERS: &[Container] = &[
+    ("rans_nthreads2", "rans", |n| Options::new().with("rans:nthreads", n), skewed_bytes),
+    ("huffman_nthreads2", "huffman", |n| Options::new().with("huffman:nthreads", n), skewed_bytes),
+    ("deflate_nthreads2", "deflate", |n| Options::new().with("deflate:nthreads", n), skewed_bytes),
+    ("sz_omp_chunks2", "sz_omp", |n| Options::new().with("sz_omp:nthreads", n), cube),
+    ("zfp_omp_chunks2", "zfp_omp", |n| Options::new().with("zfp_omp:nthreads", n), cube),
+    (
+        "chunking_sz_chunks2",
+        "chunking",
+        |n| {
+            Options::new()
+                .with("chunking:compressor", "sz")
+                .with("chunking:nthreads", n)
+                .with(OPT_REL, REL)
+        },
+        cube,
+    ),
+];
+
+/// Pins every chunk directory: magic, count, per-chunk sections and, for
+/// `zfp_omp`, the bit length per entry — a wire contract of its own that the
+/// serial corpus never writes. Each stream was written while its container
+/// was still a hand-written loop of its own (`rans_nthreads2` one PR before
+/// the rest) and is never regenerated (the `guard_v1` rule): the one shared
+/// container must write the same bytes and read them back to the bytes
+/// recorded then — with a one-thread handle, since the layout travels in the
+/// stream.
+#[test]
+fn golden_container_streams_pin_every_chunk_directory() {
+    libpressio::init();
+    let manifest = fs::read_to_string(golden_dir().join("MANIFEST.txt")).expect("MANIFEST.txt");
+    for (name, plugin, options, input) in CONTAINERS {
+        let input = input();
+        let arm = |nthreads: u32| {
+            let mut c = compressor(plugin);
+            c.set_options(&options(nthreads)).expect(name);
+            c
+        };
+        let stream = arm(2).compress(&input).expect(name);
+        // One thread fewer and the plan does not split: if the streams stop
+        // differing, the pin is no longer testing a chunk directory.
+        let serial = arm(1).compress(&input).expect(name);
+        assert_ne!(stream.as_bytes(), serial.as_bytes(), "{name}: the plan did not split");
+
+        let golden = fs::read(golden_dir().join(format!("{name}.bin"))).expect(name);
+        assert!(
+            stream.as_bytes() == golden.as_slice(),
+            "{name}: container format changed ({} bytes now, {} committed): old archives \
+             may no longer decode",
+            stream.as_bytes().len(),
+            golden.len()
+        );
+        let mut out = Data::empty(input.dtype());
+        arm(1)
+            .decompress(&Data::from_bytes(&golden), &mut out)
+            .unwrap_or_else(|e| panic!("{name}: committed stream no longer decodes: {e}"));
+        assert_eq!(out.dims(), input.dims(), "{name}");
+        let row = format!("+{name} {} {:016x}", golden.len(), libpressio::core::xxh64(out.as_bytes()));
+        assert!(
+            manifest.lines().any(|l| l == row),
+            "{name}: decoded bytes changed; MANIFEST.txt has no row {row:?}"
+        );
     }
-    let golden = fs::read(&path).unwrap_or_else(|e| {
-        panic!("missing golden stream {}: {e}\n{REGEN_HINT}", path.display())
-    });
-    assert_eq!(
-        stream, golden,
-        "rans chunked container format changed: old archives may no longer \
-         decode.\n{REGEN_HINT}"
-    );
-    // The committed stream must still decode losslessly — with a *serial*
-    // handle, since the chunk layout travels in the stream.
-    let mut out = Data::owned(input.dtype(), input.dims().to_vec());
-    libpressio::instance()
-        .get_compressor("rans")
-        .expect("rans")
-        .decompress(&Data::from_bytes(&golden), &mut out)
-        .expect("chunked decode");
-    assert_eq!(out.as_bytes(), raw.as_slice());
 }
 
 /// Pins the `guard` integrity frame in both versions, over the `noop`
