@@ -11,9 +11,13 @@
 #                          plugin-contract checker (crates/tools/tests),
 #                          the golden-stream corpus (tests/golden_streams.rs),
 #                          the metrics reference suite
-#                          (crates/metrics/tests/reference.rs), and the
+#                          (crates/metrics/tests/reference.rs), the
 #                          lint seeded-regression fixtures
-#                          (crates/tools/tests/lint_fixtures.rs)
+#                          (crates/tools/tests/lint_fixtures.rs), and the
+#                          mgard allocation budget — allocations per call on
+#                          a 64^3 field, counted by the test binary's own
+#                          allocator, which must not scale with the grid
+#                          (crates/mgard/tests/alloc_budget.rs)
 #   4. loom model checks — the execution engine's submit/steal/help paths,
 #                          the trace ring's push/drain/overflow paths, and
 #                          the serve admission/drain primitives

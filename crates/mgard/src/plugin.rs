@@ -75,7 +75,7 @@ impl Compressor for Mgard {
             self.bound = b;
         }
         if let Some(s) = options.get_as::<f64>("mgard:s")? {
-            if !s.is_infinite() {
+            if s != f64::INFINITY {
                 return Err(Error::unsupported(
                     "only the L-infinity norm (s = inf) is implemented",
                 )
@@ -141,6 +141,13 @@ impl Compressor for Mgard {
         }
         let (dtype, dims) = r.get_geometry().map_err(|e| e.in_plugin("mgard"))?;
         let body = r.get_section()?;
+        if r.remaining() != 0 {
+            return Err(Error::corrupt(format!(
+                "{} bytes follow the mgard body section",
+                r.remaining()
+            ))
+            .in_plugin("mgard"));
+        }
         let values = decompress_body(body, &dims).map_err(|e| e.in_plugin("mgard"))?;
         output.shape_to(dtype, &dims).map_err(|e| e.in_plugin("mgard"))?;
         output.fill_from(&values)
@@ -269,10 +276,14 @@ mod tests {
     #[test]
     fn non_inf_norm_unsupported() {
         let mut c = Mgard::default();
-        let err = c
-            .set_options(&Options::new().with("mgard:s", 0.0f64))
-            .unwrap_err();
-        assert_eq!(err.code(), pressio_core::ErrorCode::Unsupported);
+        for s in [0.0f64, f64::NEG_INFINITY, f64::NAN] {
+            let err = c
+                .set_options(&Options::new().with("mgard:s", s))
+                .unwrap_err();
+            assert_eq!(err.code(), pressio_core::ErrorCode::Unsupported, "s = {s}");
+        }
+        c.set_options(&Options::new().with("mgard:s", f64::INFINITY))
+            .unwrap();
     }
 
     #[test]
@@ -327,6 +338,65 @@ mod tests {
         let mut bad = bytes.to_vec();
         bad[6] ^= 0x3C;
         let _ = c.decompress(&Data::from_bytes(&bad), &mut out);
+    }
+
+    /// Nothing the encoder does not write may ride along: every byte of a
+    /// stream is either decoded or an error.
+    #[test]
+    fn surplus_input_is_corrupt() {
+        use pressio_codecs::deflate;
+
+        // Spikes past the code range, so the exception section is not empty.
+        let mut v: Vec<f64> = (0..400).map(|i| (i as f64 * 0.1).sin()).collect();
+        v[100] = 1e18;
+        v[399] = -1e18;
+        let input = Data::from_vec(v, vec![20, 20]).unwrap();
+        let mut c = Mgard::default();
+        let valid = c.compress(&input).unwrap();
+
+        // The stream taken apart: envelope up to the body section, then the
+        // body's header and its two inflated sections.
+        let mut r = ByteReader::new(valid.as_bytes());
+        r.get_u32().unwrap();
+        r.get_geometry().unwrap();
+        let envelope = &valid.as_bytes()[..r.position()];
+        let mut body = ByteReader::new(r.get_section().unwrap());
+        let header = body.get_bytes(8 + 4 + 8).unwrap();
+        let codes = deflate::decompress(body.get_section().unwrap()).unwrap();
+        let exceptions = deflate::decompress(body.get_section().unwrap()).unwrap();
+        assert_eq!(exceptions.len(), 16);
+
+        // ...and put back together with `extra` appended at each joint.
+        let rebuilt = |codes_extra: &[u8], exc_extra: &[u8], body_extra: &[u8], extra: &[u8]| {
+            let mut b = ByteWriter::new();
+            b.put_bytes(header);
+            b.put_section(&deflate::compress(&[&codes[..], codes_extra].concat()).unwrap());
+            b.put_section(&deflate::compress(&[&exceptions[..], exc_extra].concat()).unwrap());
+            b.put_bytes(body_extra);
+            let mut w = ByteWriter::new();
+            w.put_bytes(envelope);
+            w.put_section(b.as_slice());
+            w.put_bytes(extra);
+            Data::from_bytes(&w.into_vec())
+        };
+        let mut decode = |stream: &Data| {
+            let mut out = Data::empty(DType::F64);
+            c.decompress(stream, &mut out).map(|()| out)
+        };
+        assert_eq!(rebuilt(&[], &[], &[], &[]).as_bytes(), valid.as_bytes());
+        decode(&valid).unwrap();
+
+        let surplus: [(&str, Data); 5] = [
+            ("a byte after the last code", rebuilt(&[0], &[], &[], &[])),
+            ("an exception no code flags", rebuilt(&[], &[0; 8], &[], &[])),
+            ("a fraction of an exception", rebuilt(&[], &[0; 3], &[], &[])),
+            ("a byte after the exception section", rebuilt(&[], &[], &[0], &[])),
+            ("a byte after the body section", rebuilt(&[], &[], &[], &[0])),
+        ];
+        for (what, stream) in &surplus {
+            let err = decode(stream).expect_err(what);
+            assert_eq!(err.code(), pressio_core::ErrorCode::CorruptStream, "{what}");
+        }
     }
 
     #[test]

@@ -90,6 +90,11 @@ const EXTRA_GOLDEN: &[&str] = &[
     "chunking_sz_chunks2",
     "guard_v1",
     "guard_v2",
+    "mgard_1d_1000",
+    "mgard_2d_f64_48x56",
+    "mgard_aniso_3x200x5",
+    "mgard_4d_3x4x17x33",
+    "mgard_exceptions",
 ];
 
 /// Value-range-relative bound applied to every plugin (lossless plugins
@@ -346,24 +351,96 @@ fn golden_container_streams_pin_every_chunk_directory() {
         let serial = arm(1).compress(&input).expect(name);
         assert_ne!(stream.as_bytes(), serial.as_bytes(), "{name}: the plan did not split");
 
-        let golden = fs::read(golden_dir().join(format!("{name}.bin"))).expect(name);
-        assert!(
-            stream.as_bytes() == golden.as_slice(),
-            "{name}: container format changed ({} bytes now, {} committed): old archives \
-             may no longer decode",
-            stream.as_bytes().len(),
-            golden.len()
-        );
-        let mut out = Data::empty(input.dtype());
-        arm(1)
-            .decompress(&Data::from_bytes(&golden), &mut out)
-            .unwrap_or_else(|e| panic!("{name}: committed stream no longer decodes: {e}"));
-        assert_eq!(out.dims(), input.dims(), "{name}");
-        let row = format!("+{name} {} {:016x}", golden.len(), libpressio::core::xxh64(out.as_bytes()));
-        assert!(
-            manifest.lines().any(|l| l == row),
-            "{name}: decoded bytes changed; MANIFEST.txt has no row {row:?}"
-        );
+        assert_pinned(name, stream.as_bytes(), &mut arm(1), &input, &manifest);
+    }
+}
+
+/// A stream that is never regenerated (the `guard_v1` rule): `stream`, just
+/// encoded, must be the committed bytes, and the committed bytes must decode
+/// through `decoder` to the output whose hash `manifest` recorded with them.
+fn assert_pinned(name: &str, stream: &[u8], decoder: &mut CompressorHandle, input: &Data, manifest: &str) {
+    let golden = fs::read(golden_dir().join(format!("{name}.bin"))).expect(name);
+    assert!(
+        stream == golden.as_slice(),
+        "{name}: stream format changed ({} bytes now, {} committed): old archives \
+         may no longer decode",
+        stream.len(),
+        golden.len()
+    );
+    let mut out = Data::empty(input.dtype());
+    decoder
+        .decompress(&Data::from_bytes(&golden), &mut out)
+        .unwrap_or_else(|e| panic!("{name}: committed stream no longer decodes: {e}"));
+    assert_eq!(out.dims(), input.dims(), "{name}");
+    let row = format!("+{name} {} {:016x}", golden.len(), libpressio::core::xxh64(out.as_bytes()));
+    assert!(
+        manifest.lines().any(|l| l == row),
+        "{name}: decoded bytes changed; MANIFEST.txt has no row {row:?}"
+    );
+}
+
+/// Values made by integer and exactly rounded arithmetic only (no libm, so
+/// the same bits on every host): a quadratic trend of height `scale` under
+/// LCG noise a hundredth of that.
+fn arithmetic_values(n: usize, scale: f64) -> Vec<f64> {
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    (0..n)
+        .map(|i| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let t = i as f64 / n as f64;
+            let noise = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            scale * (t * (1.0 - t) * 4.0 + noise * 0.01)
+        })
+        .collect()
+}
+
+fn arithmetic_f32(dims: &[usize]) -> Data {
+    let values = arithmetic_values(dims.iter().product(), 30.0);
+    Data::from_vec(values.into_iter().map(|v| v as f32).collect(), dims.to_vec()).expect("dims")
+}
+
+/// `mgard` streams the serial corpus cannot reach — its one field is 3-D,
+/// isotropic and `f32`, and no node of it leaves the code range: stream name,
+/// the bound, the input.
+type MgardPin = (&'static str, (&'static str, f64), fn() -> Data);
+const MGARD_PINS: &[MgardPin] = &[
+    ("mgard_1d_1000", (OPT_REL, REL), || arithmetic_f32(&[1000])),
+    ("mgard_2d_f64_48x56", (OPT_REL, REL), || {
+        Data::from_vec(arithmetic_values(48 * 56, 30.0), vec![48, 56]).expect("dims")
+    }),
+    // z stops coarsening after one level, x after two, y after seven.
+    ("mgard_aniso_3x200x5", (OPT_REL, REL), || arithmetic_f32(&[3, 200, 5])),
+    // The two leading axes collapse into one of extent 12.
+    ("mgard_4d_3x4x17x33", (OPT_REL, REL), || arithmetic_f32(&[3, 4, 17, 33])),
+    // Values near 1e10 at an absolute 1e-6: every base node and every noisy
+    // detail node quantizes past 2^46 and travels verbatim; the smooth runs
+    // between them still quantize.
+    ("mgard_exceptions", ("mgard:tolerance", 1e-6), || {
+        let mut v = arithmetic_values(20 * 23, 1e10);
+        for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % 7 >= 3) {
+            *x = 1e10 + i as f64 * 1e-3;
+        }
+        Data::from_vec(v, vec![20, 23]).expect("dims")
+    }),
+];
+
+/// Pins the `mgard` traversal where the serial corpus does not look: 1-D,
+/// 2-D `f64`, axes that stop coarsening at different levels, the > 3-D
+/// collapse and the verbatim-exception sections. Node order, corner order and
+/// accumulation order *are* the format, so each stream was written by the
+/// last commit whose kernel built a corner list per node and is never
+/// regenerated: the sweep must write the same bytes and read them back to the
+/// values recorded then.
+#[test]
+fn golden_mgard_streams_pin_the_traversal() {
+    libpressio::init();
+    let manifest = fs::read_to_string(golden_dir().join("MANIFEST.txt")).expect("MANIFEST.txt");
+    for (name, (key, bound), input) in MGARD_PINS {
+        let input = input();
+        let mut mgard = libpressio::instance().get_compressor("mgard").expect("mgard");
+        mgard.set_options(&Options::new().with(*key, *bound)).expect(name);
+        let stream = mgard.compress(&input).expect(name);
+        assert_pinned(name, stream.as_bytes(), &mut mgard, &input, &manifest);
     }
 }
 
