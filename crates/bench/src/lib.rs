@@ -13,8 +13,8 @@
 //! * `exp_quality` — supporting compression-quality sweeps
 //! * `exp_opt` — FRaZ-style optimizer convergence
 //!
-//! Criterion benches (`benches/`) cover interface overhead, codec
-//! throughput, and parallel chunking.
+//! Per-PR performance is judged by the stand-alone `benchmark/` package at
+//! the repository root, not by these binaries.
 
 #![warn(missing_docs)]
 

@@ -221,9 +221,9 @@ pub fn chunk_ranges(total: usize, pieces: usize) -> Vec<Range<usize>> {
 }
 
 /// Minimum bytes of input one chunk must carry before splitting pays for
-/// itself: below this, queue/steal/stitch overhead eats the win. Measured
-/// offline with the bench harness (`pressio bench`) across the pooled
-/// plugins; deliberately a compile-time constant, *not* a host probe, so
+/// itself: below this, queue/steal/stitch overhead eats the win. Chosen
+/// offline from serial-vs-pooled timings of the pooled plugins;
+/// deliberately a compile-time constant, *not* a host probe, so
 /// chunk geometry — and therefore every stream — stays machine-independent.
 pub const MIN_CHUNK_BYTES: usize = 256 * 1024;
 

@@ -47,11 +47,11 @@ fn threadsafe_instances_run_concurrently() {
             .unwrap();
         c.compress(&input).unwrap()
     };
-    let results: Vec<Data> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Data> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let input = &input;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut c = Sz::new(SzVariant::ThreadSafe);
                     c.set_options(&Options::new().with(pressio_core::OPT_ABS, 1e-3f64))
                         .unwrap();
@@ -60,8 +60,7 @@ fn threadsafe_instances_run_concurrently() {
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
     for r in results {
         assert_eq!(r, expected, "concurrent compression must be deterministic");
     }

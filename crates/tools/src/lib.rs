@@ -22,11 +22,6 @@
 //!   faulted round trips, asserting the pool self-heals, stops are
 //!   structured errors, and a faulted handle never corrupts later runs.
 //!
-//! * [`bench`] — the `pressio bench` overhead harness: measures native
-//!   (static-dispatch) versus through-interface compression time per plugin
-//!   and serial versus pooled (`zfp`/`zfp_omp`, `sz`/`sz_omp`) wall-clock,
-//!   emitting schema-validated `BENCH_overhead.json`.
-//!
 //! * [`trace_cmd`] — the `pressio trace` observability harness: runs a
 //!   round trip on a datagen field with the `pressio_core::trace` span
 //!   collector enabled and reports the per-stage span tree, with a
@@ -38,7 +33,6 @@
 //! registering them and calling [`contract::check_all`] /
 //! [`fuzz::fuzz_all`].
 
-pub mod bench;
 pub mod chaos;
 pub mod contract;
 pub mod fuzz;

@@ -181,8 +181,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              metrics plugin, the chrome-trace exporter, and `pressio trace`). A private \
              clock read is invisible to that pipeline and re-pays the syscall even when \
              nobody is measuring. crates/core/src/trace.rs itself, binaries, and test \
-             modules are exempt. Allowlist only measurement harnesses that must time \
-             foreign code outside a span (e.g. the bench library's median timer)."
+             modules are exempt — so the experiment drivers under crates/bench/src/bin, \
+             which time foreign code outside any span, need no waiver. Allowlist only \
+             library code that must read a clock outside a span."
         }
         RULE_TAINT_ALLOC => {
             "taint-alloc: a value read from an untrusted compressed stream (get_len, \

@@ -451,84 +451,6 @@ fn cmd_serve(args: &Args) -> Result<()> {
     Ok(())
 }
 
-fn cmd_bench_serve(args: &Args) -> Result<()> {
-    use pressio_tools::serve::load;
-    let out = args.get("out").unwrap_or("BENCH_serve.json");
-    if args.get("check").is_some() {
-        let text = std::fs::read_to_string(out)?;
-        load::validate_json(&text)?;
-        println!("{out}: valid {}", load::SERVE_SCHEMA);
-        return Ok(());
-    }
-    let mut cfg = if args.get("quick").is_some() {
-        load::LoadConfig::quick()
-    } else {
-        load::LoadConfig::default()
-    };
-    let parse_num = |flag: &str, default: usize| -> Result<usize> {
-        match args.get(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| Error::invalid_argument(format!("bad --{flag} value {v:?}"))),
-        }
-    };
-    cfg.workers = parse_num("workers", cfg.workers)?;
-    cfg.queue_capacity = parse_num("queue", cfg.queue_capacity)?;
-    cfg.requests_per_client = parse_num("requests", cfg.requests_per_client)?;
-    let report = load::run(&cfg)?;
-    let json = load::to_json(&report);
-    load::validate_json(&json)?;
-    std::fs::write(out, &json)?;
-    print!("{}", load::render_table(&report));
-    eprintln!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_bench(args: &Args) -> Result<()> {
-    if args.get("serve").is_some() {
-        return cmd_bench_serve(args);
-    }
-    let out = args.get("out").unwrap_or("BENCH_overhead.json");
-    let parse_num = |flag: &str| -> Result<usize> {
-        match args.get(flag) {
-            None => Ok(0),
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| Error::invalid_argument(format!("bad --{flag} value {v:?}"))),
-        }
-    };
-    if args.get("check").is_some() {
-        let text = std::fs::read_to_string(out)?;
-        pressio_tools::bench::validate_json(&text)?;
-        println!("{out}: valid {}", pressio_tools::bench::SCHEMA);
-        return Ok(());
-    }
-    if args.get("gate").is_some() {
-        let text = std::fs::read_to_string(out)?;
-        let msg = pressio_tools::bench::gate(&text, parse_num("repeats")?)?;
-        println!("{msg}");
-        return Ok(());
-    }
-    let cfg = pressio_tools::bench::BenchConfig {
-        quick: args.get("quick").is_some(),
-        n: parse_num("n")?,
-        repeats: parse_num("repeats")?,
-        sizes: match args.get("sizes") {
-            Some(s) => parse_dims(s)?,
-            None => Vec::new(),
-        },
-    };
-    let report = pressio_tools::bench::run(&cfg)?;
-    let json = pressio_tools::bench::to_json(&report);
-    // Self-check the document against the schema before publishing it.
-    pressio_tools::bench::validate_json(&json)?;
-    std::fs::write(out, &json)?;
-    print!("{}", pressio_tools::bench::render_table(&report));
-    eprintln!("wrote {out}");
-    Ok(())
-}
-
 fn cmd_trace(args: &Args) -> Result<()> {
     let parse_num = |flag: &str, default: u64| -> Result<u64> {
         match args.get(flag) {
@@ -649,7 +571,7 @@ fn cmd_lint(args: &Args) -> Result<()> {
     }
 }
 
-const USAGE: &str = "usage: pressio <list|options|compress|decompress|eval|gen|contract|fuzz-decode|chaos|serve|bench|trace|lint> [args]
+const USAGE: &str = "usage: pressio <list|options|compress|decompress|eval|gen|contract|fuzz-decode|chaos|serve|trace|lint> [args]
   list [compressors|metrics|io]
   options <compressor>
   compress   -c <name> -i <in> -o <out> [-t dtype -d dims] [-O k=v ...] [-m metric ...] [-f format]
@@ -676,14 +598,6 @@ const USAGE: &str = "usage: pressio <list|options|compress|decompress|eval|gen|c
               # graceful drain on SIGTERM/SIGINT or a client Shutdown
               # frame (unix-socket only unless --allow-remote-shutdown).
               # Default profiles: raw, lossless, sz_abs_1e3, zfp_default
-  bench      [--quick] [--out path] [--n edge] [--repeats N] [--sizes 32,64,128]
-              [--check] [--gate] [--serve [--workers N] [--queue N] [--requests N]]
-              # measure native vs through-interface time per plugin, then sweep
-              # serial vs pooled (zfp/zfp_omp, sz/sz_omp) wall-clock across field
-              # sizes (nthreads clamped to the host; edges up to 512); emit
-              # BENCH_overhead.json. --check validates the committed file's
-              # self-consistency; --gate re-measures the largest committed size
-              # <= 128 and fails on a >10% speedup regression
   trace      [<compressor>] [-n dataset] [-k scale] [-s seed] [-O k=v ...]
               [--export chrome.json] [--check]
               # round-trip a datagen field with span tracing enabled; print the
@@ -708,7 +622,6 @@ fn run() -> Result<()> {
         Some("fuzz-decode") => cmd_fuzz_decode(&args),
         Some("chaos") => cmd_chaos(&args),
         Some("serve") => cmd_serve(&args),
-        Some("bench") => cmd_bench(&args),
         Some("trace") => cmd_trace(&args),
         Some("lint") => cmd_lint(&args),
         _ => {

@@ -44,7 +44,6 @@
 //!   trace layer as `serve:*` counters.
 
 pub mod client;
-pub mod load;
 pub mod protocol;
 
 use std::collections::{BTreeMap, HashMap};
@@ -300,7 +299,7 @@ impl ProfileStats {
 }
 
 /// `q`-th percentile (0..=100) of a sample set, by sorted copy.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
+fn percentile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }

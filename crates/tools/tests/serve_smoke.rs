@@ -221,6 +221,7 @@ fn overload_burst_sheds_structurally_and_drains_clean() {
     let served = oks.load(Ordering::Relaxed);
     assert!(sheds > 0, "a 1-slot daemon under 8x burst must shed");
     assert!(served > 0, "accepted requests still complete under overload");
+    assert_eq!(served + sheds, 8 * 6, "every request is answered exactly once");
 
     let report = server.shutdown();
     assert!(report.drained_clean, "drain after burst: {report:?}");

@@ -3,8 +3,8 @@
 //! multi-compressor native equivalent exists).
 //!
 //! A worker pool sweeps a (dataset × compressor × bound) grid in parallel —
-//! the MPI-distributed experiment harness of the paper, with crossbeam
-//! workers standing in for ranks. Thread safety introspection decides which
+//! the MPI-distributed experiment harness of the paper, with scoped
+//! threads standing in for ranks. Thread safety introspection decides which
 //! compressors may run concurrently.
 //!
 //! Run: `cargo run --release --example distributed_experiment`
@@ -45,9 +45,9 @@ fn main() -> libpressio::Result<()> {
 
     let next = AtomicUsize::new(0);
     let results: Vec<parking_lot_free::Cell> = (0..jobs.len()).map(|_| Default::default()).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= jobs.len() {
                     break;
@@ -69,8 +69,7 @@ fn main() -> libpressio::Result<()> {
                 results[i].set(line);
             });
         }
-    })
-    .expect("worker pool");
+    });
 
     println!("distributed experiment: {} jobs on {workers} workers\n", jobs.len());
     for r in &results {
